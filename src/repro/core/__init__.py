@@ -18,7 +18,6 @@ from .pairwise import (
     PairwiseEngine,
     PairwiseStats,
     dtw_banded_batch,
-    dtw_banded_vec,
     get_engine_defaults,
     set_engine_defaults,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "PairwiseEngine",
     "PairwiseStats",
     "dtw_banded_batch",
-    "dtw_banded_vec",
     "get_engine_defaults",
     "set_engine_defaults",
     "OnlineVoiceprint",

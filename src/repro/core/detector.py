@@ -571,17 +571,24 @@ class VoiceprintDetector:
     # Comparison + confirmation phases
     # ------------------------------------------------------------------
     def _pair_distance(self, x: np.ndarray, y: np.ndarray) -> float:
-        if self.config.use_exact_dtw:
-            result = dtw(x, y)
-        elif self.config.band_radius_samples is not None:
-            result = dtw_banded_fast(x, y, self.config.band_radius_samples)
+        """One pair's comparison distance through the kernel ``detect()``
+        uses: the engine's exact kernel when the engine is on, else the
+        legacy per-pair kernels."""
+        if self._engine is not None:
+            ((distance, path_len, cells),) = self._engine.kernel_triples([x], [y])
         else:
-            result = fastdtw(x, y, radius=self.config.fastdtw_radius)
+            if self.config.use_exact_dtw:
+                result = dtw(x, y)
+            elif self.config.band_radius_samples is not None:
+                result = dtw_banded_fast(x, y, self.config.band_radius_samples)
+            else:
+                result = fastdtw(x, y, radius=self.config.fastdtw_radius)
+            distance, path_len, cells = result.distance, len(result.path), result.cells
         self._c_pairs.inc()
-        self._c_cells.inc(result.cells)
+        self._c_cells.inc(cells)
         if self.config.normalize_by_path_length:
-            return result.distance / len(result.path)
-        return result.distance
+            return distance / path_len
+        return distance
 
     def _normalise(
         self,

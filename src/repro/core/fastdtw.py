@@ -286,14 +286,15 @@ def fastdtw_distance(
     return fastdtw(x, y, radius=radius).distance
 
 
-def sakoe_chiba_band(n: int, m: int, radius: int) -> Tuple[List[int], List[int]]:
+def sakoe_chiba_band(n: int, m: int, radius: int) -> Tuple[np.ndarray, np.ndarray]:
     """Per-row column intervals of the Sakoe–Chiba band.
 
     This is the canonical band geometry shared by every banded-DTW
-    implementation in the package (:func:`dtw_banded_fast`, the
-    vectorised kernel in :mod:`repro.core.pairwise`, and the
-    envelope-based bounds built on top of it) — they must agree cell
-    for cell, so the geometry lives in exactly one place.
+    implementation in the package (:func:`dtw_banded_fast`, the batched
+    kernels in :mod:`repro.core.pairwise` and their C twin in
+    :mod:`repro.core.native`, and the envelope-based bounds built on top
+    of them) — they must agree cell for cell, so the geometry is defined
+    here once (the C kernel repeats these IEEE expressions verbatim).
 
     Args:
         n: Length of the first series (rows).
@@ -301,8 +302,8 @@ def sakoe_chiba_band(n: int, m: int, radius: int) -> Tuple[List[int], List[int]]
         radius: Band half-width in samples (``>= 0``).
 
     Returns:
-        1-indexed ``(lo, hi)`` lists of length ``n + 1`` (index 0
-        unused).  Every row interval is non-empty, row 1 contains
+        1-indexed ``(lo, hi)`` int64 arrays of length ``n + 1`` (index
+        0 unused).  Every row interval is non-empty, row 1 contains
         column 1, row ``n`` contains column ``m``, the upper interval
         ends are non-decreasing in the row index (the lower ends are
         too in every practical geometry — consumers that require it
@@ -314,21 +315,22 @@ def sakoe_chiba_band(n: int, m: int, radius: int) -> Tuple[List[int], List[int]]
     if n < 1 or m < 1:
         raise ValueError(f"series lengths must be positive, got {n}, {m}")
     scale = m / n
-    lo = [0] * (n + 1)
-    hi = [0] * (n + 1)
-    for i in range(1, n + 1):
-        centre = i * scale
-        lo[i] = max(1, int(math.floor(centre - radius - scale + 1)))
-        hi[i] = min(m, int(math.ceil(centre + radius)))
-        if hi[i] < lo[i]:
-            lo[i] = hi[i] = min(m, max(1, int(round(centre))))
+    centre = np.arange(n + 1, dtype=np.float64) * scale
+    lo = np.maximum(np.floor(centre - radius - scale + 1), 1.0)
+    hi = np.minimum(np.ceil(centre + radius), float(m))
+    empty = hi < lo
+    if empty.any():
+        lo[empty] = hi[empty] = np.clip(np.rint(centre[empty]), 1.0, float(m))
+    lo = lo.astype(np.int64)
+    hi = hi.astype(np.int64)
+    lo[0] = hi[0] = 0
     lo[1] = 1
     hi[n] = m
-    for i in range(2, n + 1):
-        if lo[i] > hi[i - 1] + 1:
-            lo[i] = hi[i - 1] + 1
-        if hi[i] < hi[i - 1]:
-            hi[i] = hi[i - 1]
+    # A warp path never steps left: each row must reach at least as far
+    # as the previous one (running max of hi) and start no later than
+    # one past the previous row's end.
+    hi = np.maximum.accumulate(hi)
+    lo[2:] = np.minimum(lo[2:], hi[1:-1] + 1)
     return lo, hi
 
 
@@ -365,5 +367,7 @@ def dtw_banded_fast(
     if a.size == 0 or b.size == 0:
         raise ValueError("DTW is undefined for empty series")
     lo, hi = sakoe_chiba_band(a.size, b.size, radius)
-    distance, path, cells = _dp_intervals(a.tolist(), b.tolist(), lo, hi)
+    distance, path, cells = _dp_intervals(
+        a.tolist(), b.tolist(), lo.tolist(), hi.tolist()
+    )
     return DTWResult(distance=float(distance), path=tuple(path), cells=cells)

@@ -1,22 +1,26 @@
-"""Runtime-compiled C backend for the early-abandon DTW batch kernel.
+"""Runtime-compiled C backend for the banded DTW kernel.
 
-The batched numpy kernels pay a fixed per-anti-diagonal dispatch cost
-(~10 ufunc launches per diagonal), which floors a 200x200-window batch
-at ~10-15 ms per call *regardless of how many pairs abandon*.  This
-module compiles a scalar anti-diagonal C kernel at runtime — plain
+Every exact banded-DTW run of the pairwise engine (and every
+early-abandon run of its incremental mode) goes through one C call per
+batch: :func:`abandon_batch_native` takes a *ragged* batch — each pair
+with its own lengths ``n`` and ``m``, addressed by offsets into one flat
+buffer of series — builds each pair's Sakoe–Chiba band in C and relaxes
+it along anti-diagonals.  The library is compiled at runtime — plain
 ``cc -O2 -fPIC -shared`` into a content-addressed shared library under
-the system temp directory, loaded through :mod:`ctypes` — and the
-pairwise engine dispatches the early-abandon sweep to it when
-available.
+the system temp directory, loaded through :mod:`ctypes`.
 
 Bit-identity contract
 ---------------------
-The C kernel relaxes exactly the cells the numpy kernel relaxes, in the
-same per-cell expression order (``seg*seg + min(min(diag, up), left)``),
-compiled with ``-ffp-contract=off`` so no fused multiply-add changes a
-rounding, and it applies the identical checkpointed two-diagonal abandon
-test at the same stride.  Completed distances, path lengths, abandon
-evidence and relaxed-cell counts are therefore bit-identical to
+The band is built with the same IEEE-754 expressions as
+:func:`repro.core.fastdtw.sakoe_chiba_band` (``floor(i*scale - radius -
+scale + 1)``, ``ceil(i*scale + radius)``, the round-half-even fallback
+and the monotone fix-up).  The C kernel relaxes exactly the cells the
+numpy kernel relaxes, in the same per-cell expression order
+(``seg*seg + min(min(diag, up), left)``), compiled with
+``-ffp-contract=off`` so no fused multiply-add changes a rounding, and
+it applies the identical checkpointed two-diagonal abandon test at the
+same stride.  Completed distances, path lengths, abandon evidence and
+relaxed-cell counts are therefore bit-identical to
 :func:`repro.core.pairwise.dtw_banded_batch_abandon`'s numpy path — the
 dispatch is invisible to every caller (tested in
 ``tests/test_core_native.py``).
@@ -27,8 +31,8 @@ No compiler, a failed compile, a failed load, or ``REPRO_NATIVE=0`` in
 the environment all degrade silently to the numpy path; nothing in the
 engine requires this module to succeed.  The library is compiled at
 most once per interpreter (and cached on disk across processes by
-source hash), and :func:`warmup` lets services pay the one-time compile
-outside any timed or latency-sensitive section.
+source hash), and :func:`warmup` lets engines pay the one-time compile
+at construction instead of inside the first detection.
 """
 
 from __future__ import annotations
@@ -49,55 +53,106 @@ _C_SOURCE = r"""
 #include <math.h>
 #include <stdlib.h>
 
-/* Banded DTW over anti-diagonals with checkpointed early abandoning.
+/* Sakoe-Chiba band of one (n, m, radius) into lo[1..n], hi[1..n],
+ * expression for expression as repro.core.fastdtw.sakoe_chiba_band.
+ * Returns 0 when lo is not non-decreasing (the diagonal sweep below
+ * needs monotone ends; no Sakoe-Chiba geometry is known to break it),
+ * 2 when some anti-diagonal is empty (a row starting right after the
+ * previous row ends), 1 otherwise. */
+static int band(int64_t n, int64_t m, int64_t radius,
+                int64_t *lo, int64_t *hi)
+{
+    double scale = (double)m / (double)n;
+    double r = (double)radius;
+    for (int64_t i = 1; i <= n; i++) {
+        double centre = (double)i * scale;
+        double l = floor(centre - r - scale + 1.0);
+        double h = ceil(centre + r);
+        lo[i] = l < 1.0 ? 1 : (int64_t)l;
+        hi[i] = h > (double)m ? m : (int64_t)h;
+        if (hi[i] < lo[i]) {
+            double c = rint(centre);  /* round half to even, as round() */
+            lo[i] = hi[i] = c < 1.0 ? 1 : (c > (double)m ? m : (int64_t)c);
+        }
+    }
+    lo[1] = 1;
+    hi[n] = m;
+    int gap = 0;
+    for (int64_t i = 2; i <= n; i++) {
+        if (lo[i] > hi[i - 1] + 1) lo[i] = hi[i - 1] + 1;
+        if (hi[i] < hi[i - 1]) hi[i] = hi[i - 1];
+        if (lo[i] < lo[i - 1]) return 0;
+        if (lo[i] == hi[i - 1] + 1) gap = 1;
+    }
+    return gap ? 2 : 1;
+}
+
+/* Banded DTW over anti-diagonals with checkpointed early abandoning,
+ * one ragged batch per call.
  *
- * Mirrors the numpy kernel cell for cell: diagonal k (0-indexed kidx)
- * holds cells (i, j) with i + j == kidx + 2, i in [i0s[kidx],
- * i1s[kidx]]; each cell costs (a[i-1] - b[j-1])^2 plus the cheapest of
- * its left/up/diagonal predecessors, and path lengths follow the same
- * strict-comparison tie-breaks.  Every abandon checkpoint scans the two
- * just-relaxed diagonals; both minima above the pair's threshold
- * proves the final distance can never come back below it.
+ * Pair p reads a = values[pairs[4p] ...] (n = pairs[4p+1] samples) and
+ * b = values[pairs[4p+2] ...] (m = pairs[4p+3]).  Diagonal k holds the
+ * in-band cells (i, j) with i + j == k; each costs (a[i-1] - b[j-1])^2
+ * plus the cheapest of its left/up/diagonal predecessors, and path
+ * lengths follow the scalar traceback's strict-comparison tie-breaks.
+ * Every abandon checkpoint scans the two just-relaxed diagonals; both
+ * minima above the pair's threshold proves the final distance can
+ * never come back below it.  Pairs shorter than two samples, or whose
+ * band has an empty diagonal, always run to completion (as the numpy
+ * kernel, which hands those shapes to the scalar DP).
  *
- * Status per pair: 1 completed, 0 abandoned, -1 no in-band path.
+ * Status per pair: 1 completed, 0 abandoned, -1 no in-band path,
+ * -2 declined (unsupported band or out of memory; the caller runs it
+ * elsewhere).
  */
-void dtw_band_abandon_batch(
-    const double *a,        /* count x n, row-major */
-    const double *b,        /* count x m, row-major */
-    int64_t count, int64_t n, int64_t m,
-    const int64_t *i0s,     /* n + m - 1 first in-band rows (1-indexed) */
-    const int64_t *i1s,     /* n + m - 1 last in-band rows (1-indexed) */
+void dtw_band_ragged(
+    const double *values,   /* all series, concatenated */
+    const int64_t *pairs,   /* count x 4: a offset, n, b offset, m */
+    int64_t count,
+    int64_t radius,
     const double *thr,      /* count abandon thresholds (may be inf) */
     int64_t stride,         /* checkpoint every stride-th diagonal */
     double *out_val,        /* count: distance / abandon evidence */
     int64_t *out_len,       /* count: path length when completed */
-    int64_t *out_cells,     /* count: cells relaxed when abandoned */
+    int64_t *out_cells,     /* count: cells relaxed */
     int8_t *out_status)
 {
-    int64_t n_diag = n + m - 1;
-    size_t rows = (size_t)n + 2;
+    int64_t max_n = 1, max_m = 1;
+    for (int64_t p = 0; p < count; p++) {
+        if (pairs[4 * p + 1] > max_n) max_n = pairs[4 * p + 1];
+        if (pairs[4 * p + 3] > max_m) max_m = pairs[4 * p + 3];
+    }
+    size_t rows = (size_t)max_n + 2;
     double *v_km2 = malloc(rows * sizeof(double));
     double *v_km1 = malloc(rows * sizeof(double));
     double *v_new = malloc(rows * sizeof(double));
     int64_t *l_km2 = malloc(rows * sizeof(int64_t));
     int64_t *l_km1 = malloc(rows * sizeof(int64_t));
     int64_t *l_new = malloc(rows * sizeof(int64_t));
-    double *b_rev = malloc((size_t)m * sizeof(double));
-    if (!v_km2 || !v_km1 || !v_new || !l_km2 || !l_km1 || !l_new || !b_rev) {
-        free(v_km2); free(v_km1); free(v_new);
-        free(l_km2); free(l_km1); free(l_new); free(b_rev);
-        for (int64_t p = 0; p < count; p++) out_status[p] = -1;
-        return;
+    int64_t *lo = malloc(rows * sizeof(int64_t));
+    int64_t *hi = malloc(rows * sizeof(int64_t));
+    double *b_rev = malloc((size_t)max_m * sizeof(double));
+    if (!v_km2 || !v_km1 || !v_new || !l_km2 || !l_km1 || !l_new
+            || !lo || !hi || !b_rev) {
+        for (int64_t p = 0; p < count; p++) out_status[p] = -2;
+        goto done;
     }
 
     for (int64_t p = 0; p < count; p++) {
-        const double *ap = a + p * n;
-        const double *bp = b + p * m;
+        const double *ap = values + pairs[4 * p];
+        int64_t n = pairs[4 * p + 1];
+        const double *bp = values + pairs[4 * p + 2];
+        int64_t m = pairs[4 * p + 3];
+        int shape = band(n, m, radius, lo, hi);
+        if (shape == 0) {
+            out_status[p] = -2;
+            continue;
+        }
         double threshold = thr[p];
-        int check = isfinite(threshold);
+        int check = isfinite(threshold) && shape == 1 && n >= 2 && m >= 2;
         for (int64_t j = 0; j < m; j++) b_rev[m - 1 - j] = bp[j];
 
-        for (size_t i = 0; i < rows; i++) {
+        for (int64_t i = 0; i < n + 2; i++) {
             v_km2[i] = INFINITY;
             v_km1[i] = INFINITY;
             l_km2[i] = 0;
@@ -105,16 +160,23 @@ void dtw_band_abandon_batch(
         }
         v_km2[0] = 0.0;  /* virtual start cell (0, 0) */
 
+        int64_t n_diag = n + m - 1;
         int64_t cells = 0;
         int abandoned = 0;
+        int64_t i0 = 1, i1 = 1;  /* rows alive on the current diagonal */
+        int64_t p0 = 1, p1 = 0;  /* ... and on the previous one */
         for (int64_t kidx = 0; kidx < n_diag; kidx++) {
-            int64_t i0 = i0s[kidx];
-            int64_t i1 = i1s[kidx];
             int64_t k = kidx + 2;
-            /* Later diagonals only read rows in [i0-1, i1+1] (the
-             * caller guarantees i0s non-decreasing and i1s stepping by
-             * at most one), so the out-of-band INFINITY boundary only
-             * needs restoring at the two margins. */
+            /* Row i lies on diagonals i+lo[i] .. i+hi[i]; both ends
+             * strictly increase with i, so the alive rows form one
+             * range whose ends only move forward. */
+            while (i1 < n && i1 + 1 + lo[i1 + 1] <= k) i1++;
+            while (i0 + hi[i0] < k) i0++;
+            /* Later diagonals only read rows in [i0-1, i1+1] (i0 never
+             * decreases and i1 steps by at most one), so the
+             * out-of-band INFINITY boundary only needs restoring at the
+             * two margins -- which also covers an empty diagonal
+             * (i0 == i1 + 1). */
             v_new[i0 - 1] = INFINITY;
             v_new[i1 + 1] = INFINITY;
             {
@@ -141,7 +203,7 @@ void dtw_band_abandon_batch(
                     ln[i] = ((left < min_du) ? lk1[i] : l_lu) + 1;
                 }
             }
-            cells += i1 - i0 + 1;
+            if (i1 >= i0) cells += i1 - i0 + 1;
             double *vt = v_km2; v_km2 = v_km1; v_km1 = v_new; v_new = vt;
             int64_t *lt = l_km2; l_km2 = l_km1; l_km1 = l_new; l_new = lt;
             if (check && kidx > 0 && kidx < n_diag - 1
@@ -150,7 +212,7 @@ void dtw_band_abandon_batch(
                 for (int64_t i = i0; i <= i1; i++)
                     cur_min = fmin(cur_min, v_km1[i]);
                 double prev_min = INFINITY;
-                for (int64_t i = i0s[kidx - 1]; i <= i1s[kidx - 1]; i++)
+                for (int64_t i = p0; i <= p1; i++)
                     prev_min = fmin(prev_min, v_km2[i]);
                 if (cur_min > threshold && prev_min > threshold) {
                     out_val[p] = fmin(cur_min, prev_min);
@@ -161,6 +223,8 @@ void dtw_band_abandon_batch(
                     break;
                 }
             }
+            p0 = i0;
+            p1 = i1;
         }
         if (abandoned) continue;
         double distance = v_km1[n];
@@ -174,13 +238,16 @@ void dtw_band_abandon_batch(
         out_status[p] = 1;
     }
 
+done:
     free(v_km2); free(v_km1); free(v_new);
-    free(l_km2); free(l_km1); free(l_new); free(b_rev);
+    free(l_km2); free(l_km1); free(l_new);
+    free(lo); free(hi); free(b_rev);
 }
 """
 
 #: Compiler invocation; -ffp-contract=off forbids fused multiply-add so
-#: every rounding matches the numpy kernel's two-op ``seg*seg + best``.
+#: every rounding matches the numpy expressions (``i*scale - radius``
+#: in the band, ``seg*seg + best`` in the recurrence).
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno"]
 
 _UNSET = object()
@@ -217,18 +284,15 @@ def _compile() -> Optional[ctypes.CDLL]:
             return None
     try:
         lib = ctypes.CDLL(lib_path)
-        fn = lib.dtw_band_abandon_batch
+        fn = lib.dtw_band_ragged
     except (OSError, AttributeError):
         return None
     fn.restype = None
     fn.argtypes = [
         ctypes.POINTER(ctypes.c_double),
-        ctypes.POINTER(ctypes.c_double),
-        ctypes.c_int64,
-        ctypes.c_int64,
-        ctypes.c_int64,
         ctypes.POINTER(ctypes.c_int64),
-        ctypes.POINTER(ctypes.c_int64),
+        ctypes.c_int64,
+        ctypes.c_int64,
         ctypes.POINTER(ctypes.c_double),
         ctypes.c_int64,
         ctypes.POINTER(ctypes.c_double),
@@ -261,57 +325,64 @@ def _as_c(array: np.ndarray, ctype):
 
 
 def abandon_batch_native(
-    a_stack: np.ndarray,
-    b_stack: np.ndarray,
-    i0s: np.ndarray,
-    i1s: np.ndarray,
+    pairs: np.ndarray,
+    values: np.ndarray,
+    radius: int,
     thresholds: np.ndarray,
     stride: int,
 ) -> Optional[tuple]:
-    """One C sweep over a common-shape batch; None if unavailable.
+    """One C sweep over a ragged batch; None if unavailable.
+
+    Args:
+        pairs: ``(count, 4)`` int64 rows ``(a_offset, n, b_offset, m)``
+            locating each pair's two series in ``values``.
+        values: Every series of the batch, concatenated (float64).
+        radius: Sakoe–Chiba half-width, shared by the batch.
+        thresholds: Per-pair abandon threshold; ``inf`` runs exactly.
+        stride: Anti-diagonals between abandon checkpoints.
 
     Returns ``(status, values, lengths, cells)`` arrays over the batch:
-    status 1 means ``values``/``lengths`` hold the completed distance
-    and path length, status 0 means ``values``/``cells`` hold abandon
-    evidence and relaxed cells, status -1 means no in-band path.
+    status 1 means ``values``/``lengths``/``cells`` hold the completed
+    distance, path length and band area, status 0 means
+    ``values``/``cells`` hold abandon evidence and relaxed cells,
+    status -1 means no in-band path, and status -2 means the kernel
+    declined the pair (the caller must run it another way).
     """
     lib = _get()
     if lib is None:
         return None
-    steps0 = np.diff(i0s)
-    steps1 = np.diff(i1s)
-    if not (
-        steps0.size == 0
-        or (np.all(steps0 >= 0) and np.all(steps1 >= 0) and np.all(steps1 <= 1))
-    ):
-        # The margin-refill trick inside the C loop assumes this band
-        # geometry (always true for Sakoe–Chiba bands); anything else
-        # uses the numpy kernel.
-        return None
-    count, n = a_stack.shape
-    m = b_stack.shape[1]
-    a_c = np.ascontiguousarray(a_stack, dtype=np.float64)
-    b_c = np.ascontiguousarray(b_stack, dtype=np.float64)
-    i0_c = np.ascontiguousarray(i0s, dtype=np.int64)
-    i1_c = np.ascontiguousarray(i1s, dtype=np.int64)
+    pairs_c = np.ascontiguousarray(pairs, dtype=np.int64)
+    values_c = np.ascontiguousarray(values, dtype=np.float64)
     thr_c = np.ascontiguousarray(thresholds, dtype=np.float64)
-    values = np.empty(count, dtype=np.float64)
+    if pairs_c.ndim != 2 or pairs_c.shape[1] != 4 or values_c.ndim != 1:
+        raise ValueError("expected (count, 4) pair rows over a 1-D value buffer")
+    count = pairs_c.shape[0]
+    if thr_c.shape != (count,):
+        raise ValueError(f"expected {count} thresholds, got shape {thr_c.shape}")
+    if radius < 0 or stride < 1:
+        raise ValueError(f"need radius >= 0 and stride >= 1, got {radius}, {stride}")
+    # The C loop trusts every offset: reject rows that would read outside
+    # the buffer (or an empty series) before handing over pointers.
+    starts = pairs_c[:, 0::2]
+    sizes = pairs_c[:, 1::2]
+    if count and (
+        starts.min() < 0 or sizes.min() < 1 or (starts + sizes).max() > values_c.size
+    ):
+        raise ValueError("pair rows address samples outside the value buffer")
+    out = np.empty(count, dtype=np.float64)
     lengths = np.zeros(count, dtype=np.int64)
     cells = np.zeros(count, dtype=np.int64)
     status = np.empty(count, dtype=np.int8)
-    lib.dtw_band_abandon_batch(
-        _as_c(a_c, ctypes.c_double),
-        _as_c(b_c, ctypes.c_double),
+    lib.dtw_band_ragged(
+        _as_c(values_c, ctypes.c_double),
+        _as_c(pairs_c, ctypes.c_int64),
         count,
-        n,
-        m,
-        _as_c(i0_c, ctypes.c_int64),
-        _as_c(i1_c, ctypes.c_int64),
+        int(radius),
         _as_c(thr_c, ctypes.c_double),
         int(stride),
-        _as_c(values, ctypes.c_double),
+        _as_c(out, ctypes.c_double),
         _as_c(lengths, ctypes.c_int64),
         _as_c(cells, ctypes.c_int64),
         _as_c(status, ctypes.c_int8),
     )
-    return status, values, lengths, cells
+    return status, out, lengths, cells

@@ -5,18 +5,19 @@ distance for every pair of heard identities — O(n²) FastDTW runs per
 detection period, which is the entire computational cost of Voiceprint.
 This module makes that stage cheap without changing a single decision:
 
-* :func:`dtw_banded_vec` — the Sakoe–Chiba banded DTW kernel relaxed
-  along anti-diagonals with numpy slice arithmetic instead of a
-  per-cell Python loop.  Every cell performs the identical IEEE-754
-  operations as the scalar DP (:func:`repro.core.fastdtw.dtw_banded_fast`
-  over the same :func:`repro.core.fastdtw.sakoe_chiba_band` geometry),
-  so distances, warp paths, and the ``cells`` work metric are
-  *bit-identical*, not merely close.  Narrow bands make single-pair
-  diagonals too small for numpy to win, so the engine also carries
-  :func:`dtw_banded_batch`, which relaxes *all pairs of one shape at
-  once* — each anti-diagonal becomes one ``(pairs × width)`` block op —
-  and tracks optimal warp-path lengths forward instead of storing the
-  cost matrix for traceback.
+* :func:`dtw_banded_batch_abandon` — the Sakoe–Chiba banded DTW
+  kernel over a *ragged* batch of pairs (each pair with its own lengths,
+  as packet loss gives almost every window its own), with an optional
+  per-pair early-abandon threshold.  One call runs the whole batch in
+  the compiled C backend (:mod:`repro.core.native`), which builds every
+  pair's band itself; without a compiler the same batch runs one numpy
+  anti-diagonal sweep per ``(n, m)`` shape.  Both relax every cell with
+  the identical IEEE-754 operations as the scalar DP
+  (:func:`repro.core.fastdtw.dtw_banded_fast` over the same
+  :func:`repro.core.fastdtw.sakoe_chiba_band` geometry), so distances,
+  warp-path lengths and the ``cells`` work metric are *bit-identical*,
+  not merely close.  Warp-path lengths are tracked forward instead of
+  storing the cost matrix for traceback.
 
 * **Bound cascade** — cheap lower bounds (an LB_Kim-style first/last
   bound and LB_Keogh-style band-envelope bounds in both directions) and
@@ -73,11 +74,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..obs.metrics import MetricsRegistry, default_registry
 from .dtw import DTWResult, dtw
 from .fastdtw import dtw_banded_fast, fastdtw, sakoe_chiba_band
-from .native import (
-    abandon_batch_native,
-    native_available,
-    warmup as native_warmup,
-)
+from .native import abandon_batch_native, warmup as native_warmup
 from .normalization import _SIGMA_FLOOR
 
 __all__ = [
@@ -95,7 +92,6 @@ __all__ = [
     "band_cells",
     "dtw_banded_batch",
     "dtw_banded_batch_abandon",
-    "dtw_banded_vec",
     "dtw_band_lower_bound",
     "dtw_band_upper_bound",
     "lb_kim",
@@ -139,15 +135,6 @@ _ABANDON_GUARD = 1e-9
 _ABANDON_STRIDE = 8
 
 
-#: Minimum *average anti-diagonal width* (band area / diagonal count)
-#: at which the single-pair vectorised kernel beats the scalar interval
-#: DP.  Narrow bands make each diagonal a tiny numpy op whose call
-#: overhead dominates; both kernels produce bit-identical results, so
-#: the switch is purely a speed heuristic.  (The batched kernel does
-#: not need this: it amortises the per-diagonal overhead across pairs.)
-_VEC_MIN_AVG_WIDTH = 32
-
-
 # ----------------------------------------------------------------------
 # Process-wide engine defaults (CLI-configurable)
 # ----------------------------------------------------------------------
@@ -156,7 +143,7 @@ class EngineDefaults:
     """Process-wide defaults for detectors that leave engine knobs unset.
 
     Attributes:
-        engine: Use the pairwise engine (vectorised kernel + cache)
+        engine: Use the pairwise engine (ragged batch kernel + cache)
             behind ``VoiceprintDetector.compare``.  Disabling falls back
             to the legacy per-pair Python loop.
         pruning: Decide pairs from the bound cascade inside ``detect``
@@ -227,7 +214,7 @@ def set_engine_defaults(
 
 
 # ----------------------------------------------------------------------
-# Vectorised banded DTW kernel
+# Banded DTW kernels
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=256)
 def _band_arrays(
@@ -238,13 +225,13 @@ def _band_arrays(
     Returns ``(lo, hi, monotone, n_cells)`` where ``lo``/``hi`` are the
     0-indexed-by-row (value still 1-indexed column) interval arrays of
     :func:`sakoe_chiba_band`, ``monotone`` says both ends are
-    non-decreasing (required by the vectorised kernel and the
+    non-decreasing (required by the diagonal sweep and the
     column-direction bound), and ``n_cells`` is the band area — the DP
     work a full kernel run would perform.
     """
-    lo_list, hi_list = sakoe_chiba_band(n, m, radius)
-    lo = np.asarray(lo_list[1:], dtype=np.int64)
-    hi = np.asarray(hi_list[1:], dtype=np.int64)
+    lo_full, hi_full = sakoe_chiba_band(n, m, radius)
+    lo = lo_full[1:]
+    hi = hi_full[1:]
     lo.setflags(write=False)
     hi.setflags(write=False)
     monotone = bool(np.all(lo[1:] >= lo[:-1]) and np.all(hi[1:] >= hi[:-1]))
@@ -257,97 +244,6 @@ def band_cells(n: int, m: int, radius: int) -> int:
     return _band_arrays(n, m, radius)[3]
 
 
-def dtw_banded_vec(x, y, radius: int) -> DTWResult:
-    """Sakoe–Chiba banded DTW relaxed along anti-diagonals with numpy.
-
-    Bit-identical to :func:`repro.core.fastdtw.dtw_banded_fast` —
-    same band geometry (:func:`sakoe_chiba_band`), same per-cell
-    IEEE-754 operations (``(x_i - y_j)² + min(up, left, diag)``), same
-    traceback tie-breaking — but the inner loop runs once per
-    anti-diagonal instead of once per cell, using only contiguous
-    slices (cells ``(i, j)`` with ``i + j = k`` depend only on
-    diagonals ``k-1`` and ``k-2``, which removes the within-row
-    ``curr[j-1]`` data dependency that defeats row-wise vectorisation).
-
-    Memory: the accumulated-cost diagonals are kept for traceback,
-    ``O((n+m)·n)`` floats — ~650 kB for the 20 s / 10 Hz series the
-    detector compares, freed on return.
-
-    Args:
-        x: First series (length ``N``).
-        y: Second series (length ``M``).
-        radius: Band half-width in samples (``>= 0``).
-
-    Returns:
-        :class:`repro.core.dtw.DTWResult` for the best in-band path.
-    """
-    if radius < 0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
-    a = np.ascontiguousarray(x, dtype=float)
-    b = np.ascontiguousarray(y, dtype=float)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError(f"expected 1-D series, got shapes {a.shape}, {b.shape}")
-    if a.size == 0 or b.size == 0:
-        raise ValueError("DTW is undefined for empty series")
-    n, m = a.size, b.size
-    lo, hi, monotone, _ = _band_arrays(n, m, radius)
-    if not monotone:  # pragma: no cover - no known geometry triggers this
-        return dtw_banded_fast(a, b, radius)
-
-    rows = np.arange(1, n + 1, dtype=np.int64)
-    row_first_diag = rows + lo  # strictly increasing: diag where row i starts
-    row_last_diag = rows + hi  # strictly increasing: diag where row i ends
-    ks = np.arange(2, n + m + 1, dtype=np.int64)
-    # Rows alive on diagonal k form a contiguous range (band ends are
-    # monotone): those whose [first, last] diagonal interval contains k.
-    top = np.searchsorted(row_first_diag, ks, side="right")  # max row (1-based)
-    bottom = np.searchsorted(row_last_diag, ks, side="left") + 1  # min row
-
-    # store[k, i] = accumulated cost D(i, k - i); row 0 holds D(0, 0)=0
-    # and the infinite borders, exactly the scalar DP's boundary.
-    store = np.full((n + m + 1, n + 1), _INF)
-    store[0, 0] = 0.0
-    cells = 0
-    for k in range(2, n + m + 1):
-        i1 = int(top[k - 2])
-        i0 = int(bottom[k - 2])
-        if i0 > i1:
-            continue
-        up = store[k - 1, i0 - 1 : i1]  # D(i-1, j)
-        left = store[k - 1, i0 : i1 + 1]  # D(i, j-1)
-        diag = store[k - 2, i0 - 1 : i1]  # D(i-1, j-1)
-        best = np.minimum(np.minimum(up, left), diag)
-        seg = a[i0 - 1 : i1] - b[k - i1 - 1 : k - i0][::-1]
-        store[k, i0 : i1 + 1] = seg * seg + best
-        cells += i1 - i0 + 1
-
-    distance = float(store[n + m, n])
-    if math.isinf(distance):
-        raise ValueError("window admits no monotone warp path")
-
-    # Traceback — identical candidate order and strict-< tie-breaking
-    # as the scalar interval DP, so paths match exactly.
-    path: List[Tuple[int, int]] = [(n, m)]
-    i, j = n, m
-    while (i, j) != (1, 1):
-        best_v = _INF
-        best_cell: Optional[Tuple[int, int]] = None
-        for (pi, pj) in ((i - 1, j - 1), (i - 1, j), (i, j - 1)):
-            if pi < 1 or pj < 1:
-                continue
-            if lo[pi - 1] <= pj <= hi[pi - 1]:
-                value = store[pi + pj, pi]
-                if value < best_v:
-                    best_v = value
-                    best_cell = (pi, pj)
-        if best_cell is None:  # pragma: no cover - band is connected
-            raise ValueError("traceback escaped the window")
-        i, j = best_cell
-        path.append(best_cell)
-    path.reverse()
-    return DTWResult(distance=distance, path=tuple(path), cells=cells)
-
-
 def _result_triple(result: DTWResult) -> Tuple[float, int, int]:
     return result.distance, len(result.path), result.cells
 
@@ -355,17 +251,10 @@ def _result_triple(result: DTWResult) -> Tuple[float, int, int]:
 def dtw_banded_batch(
     xs: List[np.ndarray], ys: List[np.ndarray], radius: int
 ) -> List[Tuple[float, int, int]]:
-    """Banded DTW for a batch of pairs sharing one ``(n, m)`` shape.
+    """Exact banded DTW for a batch of pairs sharing one ``(n, m)`` shape.
 
-    Relaxes every pair's band simultaneously: each anti-diagonal is one
-    set of numpy ops on ``(pairs × width)`` blocks, which amortises the
-    per-diagonal overhead that makes :func:`dtw_banded_vec` unprofitable
-    for narrow bands.  Only three diagonals are live at a time (compact,
-    INF-padded rolling buffers), so no full cost matrix is stored;
-    instead of a traceback, the optimal warp-path *length* is tracked
-    forward with the scalar traceback's exact tie-breaking rule
-    (diagonal, then up, then left, strict ``<``), which is all the
-    detector needs for path-length normalisation.
+    :func:`dtw_banded_batch_abandon` with no abandoning, kept for
+    callers that batch by shape.
 
     Returns:
         One ``(distance, path_length, cells)`` triple per pair —
@@ -373,102 +262,14 @@ def dtw_banded_batch(
         :func:`repro.core.fastdtw.dtw_banded_fast` on each pair.
     """
     count = len(xs)
-    if count == 0:
-        return []
     if len(ys) != count:
         raise ValueError(f"batch mismatch: {count} x-series, {len(ys)} y-series")
-    n, m = xs[0].size, ys[0].size
-    if any(x.size != n for x in xs) or any(y.size != m for y in ys):
+    if count and (
+        any(x.size != xs[0].size for x in xs) or any(y.size != ys[0].size for y in ys)
+    ):
         raise ValueError("dtw_banded_batch requires one common (n, m) shape")
-
-    def fallback() -> List[Tuple[float, int, int]]:
-        return [
-            _result_triple(dtw_banded_fast(x, y, radius)) for x, y in zip(xs, ys)
-        ]
-
-    if n < 2 or m < 2:
-        return fallback()
-    lo, hi, monotone, n_cells = _band_arrays(n, m, radius)
-    if not monotone:  # pragma: no cover - no known geometry triggers this
-        return fallback()
-
-    rows = np.arange(1, n + 1, dtype=np.int64)
-    ks = np.arange(2, n + m + 1, dtype=np.int64)
-    i1s = np.minimum(
-        np.minimum(np.searchsorted(rows + lo, ks, side="right"), n), ks - 1
-    )
-    i0s = np.maximum(
-        np.maximum(np.searchsorted(rows + hi, ks, side="left") + 1, 1), ks - m
-    )
-    if np.any(i0s > i1s):  # pragma: no cover - bands are connected
-        return fallback()
-    widths = i1s - i0s + 1
-    wpad = int(widths.max()) + 2
-    # Per-diagonal storage offset: row i of diagonal k lives at column
-    # i - off[k] + 1, keeping column 0 (and any tail) as INF padding so
-    # predecessor reads outside a diagonal's band resolve to INF.
-    off = np.empty(n + m + 1, dtype=np.int64)
-    off[0] = 0
-    off[1] = 1  # diagonal 1 has no interior cells; buffer stays all-INF
-    off[2:] = i0s
-    sus = i0s - off[1:-1]  # up:   row i-1 on diagonal k-1
-    sds = i0s - off[:-2]  # diag: row i-1 on diagonal k-2
-    ok = (
-        np.all(sus >= 0)
-        and np.all(sus + 1 + widths <= wpad)  # left slice = up slice + 1
-        and np.all(sds >= 0)
-        and np.all(sds + widths <= wpad)
-    )
-    if not ok:  # pragma: no cover - guards the offset algebra
-        return fallback()
-
-    a_stack = np.ascontiguousarray(np.stack(xs).astype(float, copy=False))
-    b_rev = np.ascontiguousarray(np.stack(ys).astype(float, copy=False)[:, ::-1])
-
-    v_km2 = np.full((count, wpad), _INF)
-    v_km2[:, 1] = 0.0  # D(0, 0)
-    v_km1 = np.full((count, wpad), _INF)
-    v_new = np.empty((count, wpad))
-    l_km2 = np.zeros((count, wpad), dtype=np.int64)
-    l_km1 = np.zeros((count, wpad), dtype=np.int64)
-    l_new = np.zeros((count, wpad), dtype=np.int64)
-    for kidx in range(n + m - 1):
-        k = kidx + 2
-        i0 = int(i0s[kidx])
-        w = int(widths[kidx])
-        su = int(sus[kidx])
-        sd = int(sds[kidx])
-        up = v_km1[:, su : su + w]
-        left = v_km1[:, su + 1 : su + 1 + w]
-        diag = v_km2[:, sd : sd + w]
-        min_du = np.minimum(diag, up)
-        best = np.minimum(min_du, left)
-        seg = a_stack[:, i0 - 1 : i0 - 1 + w] - b_rev[:, m - k + i0 : m - k + i0 + w]
-        v_new[:] = _INF
-        v_new[:, 1 : w + 1] = seg * seg + best
-        # Warp-path length of the predecessor the scalar traceback would
-        # pick: left only if strictly best, else up only if strictly
-        # better than diag, else diag.  Stale lengths under INF cells
-        # never propagate to a finite total.
-        l_new[:, 1 : w + 1] = (
-            np.where(
-                left < min_du,
-                l_km1[:, su + 1 : su + 1 + w],
-                np.where(up < diag, l_km1[:, su : su + w], l_km2[:, sd : sd + w]),
-            )
-            + 1
-        )
-        v_km2, v_km1, v_new = v_km1, v_new, v_km2
-        l_km2, l_km1, l_new = l_km1, l_new, l_km2
-
-    pos = n - int(i0s[-1]) + 1
-    out: List[Tuple[float, int, int]] = []
-    for p in range(count):
-        distance = float(v_km1[p, pos])
-        if math.isinf(distance):
-            raise ValueError("window admits no monotone warp path")
-        out.append((distance, int(l_km1[p, pos]), n_cells))
-    return out
+    results, _ = dtw_banded_batch_abandon(xs, ys, radius, np.full(count, _INF))
+    return results  # type: ignore[return-value]
 
 
 @lru_cache(maxsize=128)
@@ -486,13 +287,12 @@ def _abandon_geometry(
         int,
     ]
 ]:
-    """Anti-diagonal band geometry for the abandon kernel, shape-keyed.
+    """Anti-diagonal band geometry for the numpy sweep, shape-keyed.
 
     Returns ``(i0s, i1s, widths, cum_cells, wpad, sus, sds, n_cells)``
     (all arrays write-locked), or None when the band is unusable for
-    the diagonal sweep (non-monotone or disconnected — the kernel then
-    falls back to per-pair scalar runs).  Cached because every
-    detection period re-runs the sweep over identical window shapes.
+    the diagonal sweep (non-monotone, or an empty anti-diagonal — the
+    kernel then falls back to per-pair scalar runs).
     """
     lo, hi, monotone, n_cells = _band_arrays(n, m, radius)
     if not monotone:  # pragma: no cover - no known geometry triggers this
@@ -505,20 +305,23 @@ def _abandon_geometry(
     i0s = np.maximum(
         np.maximum(np.searchsorted(rows + hi, ks, side="left") + 1, 1), ks - m
     )
-    if np.any(i0s > i1s):  # pragma: no cover - bands are connected
+    if np.any(i0s > i1s):
         return None
     widths = i1s - i0s + 1
     cum_cells = np.cumsum(widths)
     wpad = int(widths.max()) + 2
+    # Per-diagonal storage offset: row i of diagonal k lives at column
+    # i - off[k] + 1, keeping column 0 (and any tail) as INF padding so
+    # predecessor reads outside a diagonal's band resolve to INF.
     off = np.empty(n + m + 1, dtype=np.int64)
     off[0] = 0
-    off[1] = 1
+    off[1] = 1  # diagonal 1 has no interior cells; buffer stays all-INF
     off[2:] = i0s
-    sus = i0s - off[1:-1]
-    sds = i0s - off[:-2]
+    sus = i0s - off[1:-1]  # up:   row i-1 on diagonal k-1
+    sds = i0s - off[:-2]  # diag: row i-1 on diagonal k-2
     ok = (
         np.all(sus >= 0)
-        and np.all(sus + 1 + widths <= wpad)
+        and np.all(sus + 1 + widths <= wpad)  # left slice = up slice + 1
         and np.all(sds >= 0)
         and np.all(sds + widths <= wpad)
     )
@@ -535,26 +338,30 @@ def dtw_banded_batch_abandon(
     radius: int,
     thresholds: np.ndarray,
 ) -> Tuple[List[Optional[Tuple[float, int, int]]], Dict[int, Tuple[float, int]]]:
-    """:func:`dtw_banded_batch` with per-pair early abandoning.
+    """Banded DTW over a ragged batch with per-pair early abandoning.
 
-    Each pair carries an *accumulated-cost* abandon threshold.  After
-    relaxing anti-diagonal ``k`` the kernel knows the minimum
-    accumulated cost over every in-band cell of diagonals ``k-1`` and
-    ``k``; because a monotone warp path's diagonal indices step by 1 or
-    2, every path touches at least one cell of any two consecutive
-    diagonals, and accumulated costs only grow along a path (step costs
-    are squared differences), so that minimum lower-bounds the pair's
-    final DTW distance.  Once it exceeds the pair's threshold the pair
-    can never come back below it and is dropped from the batch; when
-    enough pairs die the live rows are compacted so later diagonals
-    shrink.  An infinite threshold never abandons.  The test runs only
-    at every :data:`_ABANDON_STRIDE`-th diagonal (it is sound at any
-    diagonal, so skipping some merely delays a doomed pair's death),
-    which keeps the hot DP loop to pure relaxation arithmetic.
+    Pair ``i`` compares ``xs[i]`` with ``ys[i]``; lengths may differ
+    from pair to pair.  Each pair carries an *accumulated-cost* abandon
+    threshold.  After relaxing anti-diagonal ``k`` the kernel knows the
+    minimum accumulated cost over every in-band cell of diagonals
+    ``k-1`` and ``k``; because a monotone warp path's diagonal indices
+    step by 1 or 2, every path touches at least one cell of any two
+    consecutive diagonals, and accumulated costs only grow along a path
+    (step costs are squared differences), so that minimum lower-bounds
+    the pair's final DTW distance.  Once it exceeds the pair's threshold
+    the pair can never come back below it and is dropped.  An infinite
+    threshold never abandons, so an all-``inf`` batch is the engine's
+    exact kernel.  The test runs only at every
+    :data:`_ABANDON_STRIDE`-th diagonal (it is sound at any diagonal, so
+    skipping some merely delays a doomed pair's death).  Pairs shorter
+    than two samples, or whose band has an empty anti-diagonal, always
+    run to completion.
 
-    Pairs that run to completion produce triples bit-identical to
-    :func:`dtw_banded_batch` (every row's arithmetic is independent, so
-    dropping dead rows does not perturb survivors).
+    With the C backend the whole batch is one call; without it each
+    ``(n, m)`` shape runs one numpy anti-diagonal sweep
+    (:func:`_abandon_sweep`), which is the fallback and the bit-identity
+    oracle.  Completed pairs produce triples bit-identical to
+    :func:`repro.core.fastdtw.dtw_banded_fast` on the same pair.
 
     Returns:
         ``(results, abandoned)``: ``results[i]`` is the usual
@@ -571,55 +378,95 @@ def dtw_banded_batch_abandon(
     thr = np.ascontiguousarray(thresholds, dtype=float)
     if thr.shape != (count,):
         raise ValueError(f"expected {count} thresholds, got shape {thr.shape}")
-    n, m = xs[0].size, ys[0].size
-    if any(x.size != n for x in xs) or any(y.size != m for y in ys):
-        raise ValueError("dtw_banded_batch_abandon requires one common shape")
-    if n < 2 or m < 2:
-        # Degenerate shapes fall back to exact scalar runs (no abandon:
-        # the series are a couple of samples, there is nothing to save).
-        return [
-            _result_triple(dtw_banded_fast(x, y, radius)) for x, y in zip(xs, ys)
-        ], {}
-    geometry = _abandon_geometry(n, m, radius)
-    if geometry is None:  # pragma: no cover - no known geometry triggers this
-        return [
-            _result_triple(dtw_banded_fast(x, y, radius)) for x, y in zip(xs, ys)
-        ], {}
-    i0s, i1s, widths, cum_cells, wpad, sus, sds, n_cells = geometry
-
-    native = abandon_batch_native(
-        np.stack(xs).astype(float, copy=False),
-        np.stack(ys).astype(float, copy=False),
-        i0s,
-        i1s,
-        thr,
-        _ABANDON_STRIDE,
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
+    # Engine batches repeat each identity's window across many pairs, so
+    # every distinct series object is stored once in one flat buffer and
+    # pairs address it by offset.
+    first = {id(series): series for series in (*xs, *ys)}
+    slot = {key: index for index, key in enumerate(first)}
+    uniq = [np.asarray(series, dtype=float) for series in first.values()]
+    for array in uniq:
+        if array.ndim != 1:
+            raise ValueError(f"expected 1-D series, got shape {array.shape}")
+        if array.size == 0:
+            raise ValueError("DTW is undefined for empty series")
+    sizes = np.fromiter((array.size for array in uniq), np.int64, len(uniq))
+    offsets = np.cumsum(sizes) - sizes
+    a_slot = np.fromiter(map(slot.__getitem__, map(id, xs)), np.int64, count)
+    b_slot = np.fromiter(map(slot.__getitem__, map(id, ys)), np.int64, count)
+    pairs = np.stack(
+        (offsets[a_slot], sizes[a_slot], offsets[b_slot], sizes[b_slot]), axis=1
     )
+    native = abandon_batch_native(
+        pairs, np.concatenate(uniq), radius, thr, _ABANDON_STRIDE
+    )
+    results: List[Optional[Tuple[float, int, int]]] = [None] * count
+    abandoned: Dict[int, Tuple[float, int]] = {}
     if native is not None:
-        # The C backend relaxes the identical cells with the identical
-        # per-cell expression (no FP contraction), so its distances,
-        # path lengths, evidence and cell counts are bit-identical to
-        # the numpy loop below — see repro/core/native.py.
-        status, values, lengths, cells_done = native
-        if np.any(status == -1):
-            raise ValueError("window admits no monotone warp path")
-        native_results: List[Optional[Tuple[float, int, int]]] = []
-        native_abandoned: Dict[int, Tuple[float, int]] = {}
-        for index in range(count):
-            if status[index] == 1:
-                native_results.append(
-                    (float(values[index]), int(lengths[index]), n_cells)
+        status, values, lengths, cells = (array.tolist() for array in native)
+        for index, code in enumerate(status):
+            if code == 1:
+                results[index] = (values[index], lengths[index], cells[index])
+            elif code == 0:
+                abandoned[index] = (values[index], cells[index])
+            elif code == -1:
+                raise ValueError("window admits no monotone warp path")
+            else:  # pragma: no cover - declined: unsupported band / no memory
+                results[index] = _result_triple(
+                    dtw_banded_fast(uniq[a_slot[index]], uniq[b_slot[index]], radius)
                 )
-            else:
-                native_results.append(None)
-                native_abandoned[index] = (
-                    float(values[index]),
-                    int(cells_done[index]),
-                )
-        return native_results, native_abandoned
+        return results, abandoned
 
-    a_stack = np.ascontiguousarray(np.stack(xs).astype(float, copy=False))
-    b_rev = np.ascontiguousarray(np.stack(ys).astype(float, copy=False)[:, ::-1])
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    shapes = zip(sizes[a_slot].tolist(), sizes[b_slot].tolist())
+    for index, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(index)
+    for (n, m), indices in groups.items():
+        a_rows = [uniq[a_slot[index]] for index in indices]
+        b_rows = [uniq[b_slot[index]] for index in indices]
+        group_thr = thr[indices]
+        geometry = _abandon_geometry(n, m, radius) if n >= 2 and m >= 2 else None
+        few_exact = len(indices) <= 3 and not np.isfinite(group_thr).any()
+        if geometry is None or few_exact:
+            # Degenerate shapes run the scalar DP exactly (there is
+            # nothing to abandon in a couple of samples), and so do a
+            # handful of exact pairs: a numpy sweep costs about one full
+            # diagonal loop regardless of rows, more than the scalar DP.
+            for index, x, y in zip(indices, a_rows, b_rows):
+                results[index] = _result_triple(dtw_banded_fast(x, y, radius))
+            continue
+        done, dead = _abandon_sweep(a_rows, b_rows, group_thr, geometry)
+        for local, index in enumerate(indices):
+            results[index] = done[local]
+            if local in dead:
+                abandoned[index] = dead[local]
+    return results, abandoned
+
+
+def _abandon_sweep(
+    xs: List[np.ndarray],
+    ys: List[np.ndarray],
+    thr: np.ndarray,
+    geometry: tuple,
+) -> Tuple[List[Optional[Tuple[float, int, int]]], Dict[int, Tuple[float, int]]]:
+    """Numpy anti-diagonal sweep over pairs sharing one ``(n, m)`` shape.
+
+    Relaxes every pair's band simultaneously: each anti-diagonal is one
+    set of numpy ops on ``(pairs × width)`` blocks.  Only three
+    diagonals are live at a time (compact, INF-padded rolling buffers),
+    and the optimal warp-path *length* is tracked forward with the
+    scalar traceback's exact tie-breaking rule (diagonal, then up, then
+    left, strict ``<``).  When enough pairs abandon the live rows are
+    compacted so later diagonals shrink; every row's arithmetic is
+    independent, so dropping dead rows does not perturb survivors.
+    Same return contract as :func:`dtw_banded_batch_abandon`.
+    """
+    i0s, _i1s, widths, cum_cells, wpad, sus, sds, n_cells = geometry
+    count = len(xs)
+    n, m = xs[0].size, ys[0].size
+    a_stack = np.ascontiguousarray(np.stack(xs))
+    b_rev = np.ascontiguousarray(np.stack(ys)[:, ::-1])
     # Row p of the buffers currently computes original pair orig[p];
     # alive[p] False means the pair already abandoned but has not been
     # compacted out yet (its arithmetic keeps running harmlessly).
@@ -1118,7 +965,7 @@ class PairwiseEngine:
         self.normalize_by_path_length = normalize_by_path_length
         self.pruning = pruning
         self.incremental = incremental
-        if incremental:
+        if band_radius is not None and not use_exact_dtw:
             # Pay the one-time native-backend compile (if any) here, at
             # construction, so the first detection period isn't billed
             # for it.  A failed build just means numpy kernels.
@@ -1212,16 +1059,45 @@ class PairwiseEngine:
 
     # -- kernel ---------------------------------------------------------
     def _kernel(self, a: np.ndarray, b: np.ndarray) -> DTWResult:
+        """One pair with its warp path (``repro explain``, non-banded modes)."""
         if self.use_exact_dtw:
             return dtw(a, b)
         if self.band_radius is not None:
-            n, m = a.size, b.size
-            if n >= 2 and m >= 2:
-                _, _, monotone, n_cells = _band_arrays(n, m, self.band_radius)
-                if monotone and n_cells >= _VEC_MIN_AVG_WIDTH * (n + m):
-                    return dtw_banded_vec(a, b, self.band_radius)
             return dtw_banded_fast(a, b, self.band_radius)
         return fastdtw(a, b, radius=self.fastdtw_radius)
+
+    def kernel_triples(
+        self, xs: List[np.ndarray], ys: List[np.ndarray]
+    ) -> List[Tuple[float, int, int]]:
+        """Exact kernel runs for pairs ``(xs[i], ys[i])``.
+
+        Returns one raw ``(distance, path_len, cells)`` triple per pair,
+        in order.  In banded mode the whole ragged batch is one
+        :func:`dtw_banded_batch_abandon` call at infinite thresholds (one
+        C call with the native backend), split into ``workers`` chunks
+        on the thread pool when one is configured (the C call releases
+        the GIL); the other modes run :meth:`_kernel` per pair.
+        """
+        if not xs:
+            return []
+        if self.band_radius is None or self.use_exact_dtw:
+            return [_result_triple(self._kernel(a, b)) for a, b in zip(xs, ys)]
+        radius = self.band_radius
+
+        def run(lo: int, hi: int) -> List[Tuple[float, int, int]]:
+            results, _ = dtw_banded_batch_abandon(
+                xs[lo:hi], ys[lo:hi], radius, np.full(hi - lo, _INF)
+            )
+            return results  # type: ignore[return-value]
+
+        count = len(xs)
+        if self.workers > 1 and count > 2 * self.workers:
+            step = -(-count // self.workers)  # ceil division
+            starts = range(0, count, step)
+            with ThreadPoolExecutor(max_workers=self.workers) as pool:
+                chunks = pool.map(lambda lo: run(lo, min(lo + step, count)), starts)
+                return [triple for chunk in chunks for triple in chunk]
+        return run(0, count)
 
     def _finish(self, distance: float, path_len: int) -> float:
         if self.normalize_by_path_length:
@@ -1255,15 +1131,11 @@ class PairwiseEngine:
 
     def _compute(
         self,
-        a: np.ndarray,
-        b: np.ndarray,
         key: Optional[tuple],
         stats: PairwiseStats,
-        triple: Optional[Tuple[float, int, int]] = None,
+        triple: Tuple[float, int, int],
     ) -> float:
-        """Exact evaluation (kernel run unless ``triple`` is supplied)."""
-        if triple is None:
-            triple = _result_triple(self._kernel(a, b))
+        """Book one exact kernel triple; returns the finished distance."""
         distance, path_len, cells = triple
         if key is not None and self._cache is not None:
             self._cache.put(key, triple)
@@ -1340,9 +1212,7 @@ class PairwiseEngine:
         for (pair, key), triple in zip(
             pending, self._run_kernels([p for p, _ in pending], arrays)
         ):
-            distances[pair] = self._compute(
-                arrays[pair[0]], arrays[pair[1]], key, stats, triple=triple
-            )
+            distances[pair] = self._compute(key, stats, triple)
             if prov is not None:
                 prov[pair] = {
                     "tag": PROV_EXACT,
@@ -1354,55 +1224,10 @@ class PairwiseEngine:
     def _run_kernels(
         self, pairs: List[Pair], arrays: Mapping[str, np.ndarray]
     ) -> List[Tuple[float, int, int]]:
-        """Kernel runs for ``pairs`` as ``(distance, path_len, cells)``.
-
-        In banded mode, pairs sharing one ``(n, m)`` shape are relaxed
-        together through :func:`dtw_banded_batch`; singleton shapes use
-        the per-pair kernel.  Tasks optionally spread over the thread
-        pool; results always come back in ``pairs`` order.
-        """
-        if not pairs:
-            return []
-        banded = self.band_radius is not None and not self.use_exact_dtw
-        tasks: List[List[int]] = []
-        if banded:
-            groups: Dict[Tuple[int, int], List[int]] = {}
-            for index, (a, b) in enumerate(pairs):
-                shape = (arrays[a].size, arrays[b].size)
-                groups.setdefault(shape, []).append(index)
-            for indices in groups.values():
-                if self.workers > 1 and len(indices) > 2 * self.workers:
-                    step = -(-len(indices) // self.workers)  # ceil division
-                    tasks.extend(
-                        indices[i : i + step] for i in range(0, len(indices), step)
-                    )
-                else:
-                    tasks.append(indices)
-        else:
-            tasks = [[index] for index in range(len(pairs))]
-
-        def run(indices: List[int]) -> List[Tuple[float, int, int]]:
-            if banded and len(indices) > 1:
-                assert self.band_radius is not None
-                return dtw_banded_batch(
-                    [arrays[pairs[i][0]] for i in indices],
-                    [arrays[pairs[i][1]] for i in indices],
-                    self.band_radius,
-                )
-            a, b = pairs[indices[0]]
-            return [_result_triple(self._kernel(arrays[a], arrays[b]))]
-
-        if self.workers > 0 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                outputs = list(pool.map(run, tasks))
-        else:
-            outputs = [run(task) for task in tasks]
-        results: List[Optional[Tuple[float, int, int]]] = [None] * len(pairs)
-        for indices, output in zip(tasks, outputs):
-            for index, triple in zip(indices, output):
-                results[index] = triple
-        assert all(triple is not None for triple in results)
-        return results  # type: ignore[return-value]
+        """:meth:`kernel_triples` for identity pairs over ``arrays``."""
+        return self.kernel_triples(
+            [arrays[a] for a, _ in pairs], [arrays[b] for _, b in pairs]
+        )
 
     # -- threshold-aware comparison (bound cascade) ----------------------
     def compare_decided(
@@ -1513,9 +1338,9 @@ class PairwiseEngine:
         def run_exact(
             pair: Pair, triple: Optional[Tuple[float, int, int]] = None
         ) -> float:
-            value = self._compute(
-                arrays[pair[0]], arrays[pair[1]], pair_keys[pair], stats, triple
-            )
+            if triple is None:
+                (triple,) = self._run_kernels([pair], arrays)
+            value = self._compute(pair_keys[pair], stats, triple)
             exact[pair] = value
             del bounds[pair]
             if prov is not None:
@@ -2032,18 +1857,8 @@ class PairwiseEngine:
         ) -> float:
             a, b = pair
             if triple is None:
-                if native_available():
-                    # Bit-identical to the scalar kernel (the abandon
-                    # batch never abandons at an infinite threshold)
-                    # and ~50x cheaper than a pure-Python DP run.
-                    triple = dtw_banded_batch_abandon(
-                        [arrays[a]], [arrays[b]], radius, np.asarray([_INF])
-                    )[0][0]
-                else:
-                    triple = _result_triple(self._kernel(arrays[a], arrays[b]))
-            value = self._compute(
-                arrays[a], arrays[b], pair_keys[pair], stats, triple=triple
-            )
+                (triple,) = self._run_kernels([pair], arrays)
+            value = self._compute(pair_keys[pair], stats, triple)
             self._store_pair_state(pair, keys[a], keys[b], scale_tag, triple)
             exact[pair] = value
             bounds.pop(pair, None)
@@ -2055,66 +1870,55 @@ class PairwiseEngine:
             return value
 
         def run_batch(jobs: Dict[Pair, float]) -> Dict[Pair, Tuple[float, int]]:
-            """ONE early-abandon kernel sweep over all undecided pairs.
+            """ONE early-abandon kernel call over all undecided pairs.
 
             ``jobs`` maps each pair to its abandon boundary in distance
             units (``inf`` forces an exact run — carries the must-exact
             and extreme-candidate pairs through the same call, so a
-            detection pays for a single batched DP launch per window
-            shape instead of one per decision phase).  Completed pairs
-            are bit-identical kernel results and go through
-            ``run_exact``; returns ``pair → (evidence, cells_saved)``
-            (distance units) for the pairs that abandoned, whose
-            flag/surrogate the caller assigns — or revokes, refunding
-            ``cells_saved`` — once the decision boundary is final.
+            detection pays for a single ragged kernel launch instead of
+            one per decision phase).  Completed pairs are bit-identical
+            kernel results and go through ``run_exact``; returns
+            ``pair → (evidence, cells_saved)`` (distance units) for the
+            pairs that abandoned, whose flag/surrogate the caller
+            assigns — or revokes, refunding ``cells_saved`` — once the
+            decision boundary is final.
             """
             abandoned: Dict[Pair, Tuple[float, int]] = {}
-            groups: Dict[Tuple[int, int], List[Pair]] = {}
-            for pair in jobs:
-                shape = (arrays[pair[0]].size, arrays[pair[1]].size)
-                groups.setdefault(shape, []).append(pair)
-            for (n, m), group in groups.items():
-                if len(group) <= 3 and not native_available():
-                    # A batched numpy DP launch costs ~one full diagonal
-                    # loop regardless of rows; under a handful of pairs
-                    # the scalar kernel is cheaper than that overhead.
-                    # (The native backend has no such floor.)
-                    for pair in group:
-                        run_exact(pair)
+            batch = list(jobs)
+            xs = [arrays[a] for a, _ in batch]
+            ys = [arrays[b] for _, b in batch]
+            # distance = cost / path_length with path_length <= n + m - 1,
+            # so cost > c·(n+m-1) implies distance > c.
+            factors = np.asarray(
+                [
+                    float(x.size + y.size - 1) if self.normalize_by_path_length
+                    else 1.0
+                    for x, y in zip(xs, ys)
+                ]
+            )
+            results, dead = dtw_banded_batch_abandon(
+                xs, ys, radius, np.asarray([jobs[p] for p in batch]) * factors
+            )
+            for index, pair in enumerate(batch):
+                triple = results[index]
+                if triple is not None:
+                    run_exact(pair, triple)
                     continue
+                evidence, cells_done = dead[index]
+                n, m = xs[index].size, ys[index].size
+                saved = max(band_cells(n, m, radius) - cells_done, 0)
+                stats.abandoned += 1
+                stats.cells += cells_done
+                stats.cells_saved += saved
                 if self.normalize_by_path_length:
-                    # distance = cost / path_length with path_length
-                    # <= n + m - 1, so cost > c·(n+m-1) implies
-                    # distance > c.
-                    factor = float(n + m - 1)
-                else:
-                    factor = 1.0
-                results, dead = dtw_banded_batch_abandon(
-                    [arrays[p[0]] for p in group],
-                    [arrays[p[1]] for p in group],
-                    radius,
-                    np.asarray([jobs[p] for p in group]) * factor,
-                )
-                total = band_cells(n, m, radius)
-                for index, pair in enumerate(group):
-                    triple = results[index]
-                    if triple is not None:
-                        run_exact(pair, triple)
-                        continue
-                    evidence, cells_done = dead[index]
-                    saved = max(total - cells_done, 0)
-                    stats.abandoned += 1
-                    stats.cells += cells_done
-                    stats.cells_saved += saved
-                    if self.normalize_by_path_length:
-                        evidence /= n + m - 1
-                    abandoned[pair] = (evidence, saved)
-                    bounds.pop(pair, None)
-                    if prov is not None:
-                        prov[pair] = {
-                            "tag": PROV_ABANDON,
-                            "bound": evidence,
-                        }
+                    evidence /= n + m - 1
+                abandoned[pair] = (evidence, saved)
+                bounds.pop(pair, None)
+                if prov is not None:
+                    prov[pair] = {
+                        "tag": PROV_ABANDON,
+                        "bound": evidence,
+                    }
             return abandoned
 
         jobs: Dict[Pair, float] = {pair: _INF for pair in must_exact}

@@ -210,6 +210,42 @@ class TestPowerSpoofingInvariance:
         assert {"mal", "syb1", "syb2"} <= set(report.sybil_ids)
 
 
+class TestPairDistance:
+    """``repro timing`` times ``_pair_distance``: it must be the kernel
+    ``detect()`` actually runs, with the same distances."""
+
+    @pytest.mark.parametrize("engine", [True, False])
+    def test_equals_detect_distance(self, engine):
+        streams = _synthetic_observations(np.random.default_rng(4))
+        detector = VoiceprintDetector(
+            threshold=ConstantThreshold(0.1),
+            config=DetectorConfig(min_samples=50, pairwise_engine=engine),
+        )
+        # Ragged windows, as packet loss leaves them.
+        _feed(detector, "mal", streams["mal"][:187])
+        _feed(detector, "syb1", streams["syb1"])
+        report = detector.detect(density=10.0)
+        normalised = detector._normalise(detector._latest)[0]
+        got = detector._pair_distance(normalised["mal"], normalised["syb1"])
+        assert got == report.raw_distances[("mal", "syb1")]
+
+    def test_engine_runs_the_engine_kernel(self, monkeypatch):
+        detector = VoiceprintDetector(
+            threshold=ConstantThreshold(0.1),
+            config=DetectorConfig(pairwise_engine=True),
+        )
+        calls = []
+        real = detector._engine.kernel_triples
+
+        def spy(xs, ys):
+            calls.append(len(xs))
+            return real(xs, ys)
+
+        monkeypatch.setattr(detector._engine, "kernel_triples", spy)
+        detector._pair_distance(np.arange(5.0), np.arange(7.0))
+        assert calls == [1]
+
+
 class TestStaleIdentitySweep:
     """Long-run memory: silent identities must be forgotten (bugfix).
 

@@ -1,5 +1,7 @@
 """Unit tests for repro.core.fastdtw."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,46 @@ from repro.core.fastdtw import (
     expand_window,
     fastdtw,
     fastdtw_distance,
+    sakoe_chiba_band,
 )
+
+
+def _band_loop(n, m, radius):
+    """The original per-row Sakoe–Chiba loop, kept as the oracle for the
+    vectorised :func:`sakoe_chiba_band` (and, through it, the C band)."""
+    scale = m / n
+    lo = [0] * (n + 1)
+    hi = [0] * (n + 1)
+    for i in range(1, n + 1):
+        centre = i * scale
+        lo[i] = max(1, int(math.floor(centre - radius - scale + 1)))
+        hi[i] = min(m, int(math.ceil(centre + radius)))
+        if hi[i] < lo[i]:
+            lo[i] = hi[i] = min(m, max(1, int(round(centre))))
+    lo[1] = 1
+    hi[n] = m
+    for i in range(2, n + 1):
+        if lo[i] > hi[i - 1] + 1:
+            lo[i] = hi[i - 1] + 1
+        if hi[i] < hi[i - 1]:
+            hi[i] = hi[i - 1]
+    return lo, hi
+
+
+class TestSakoeChibaBand:
+    @pytest.mark.parametrize("radius", [0, 1, 2, 5, 10, 15])
+    def test_matches_loop_oracle(self, radius):
+        for n in range(1, 230):
+            for m in range(1, 230, 3):
+                lo, hi = sakoe_chiba_band(n, m, radius)
+                want_lo, want_hi = _band_loop(n, m, radius)
+                assert lo.tolist() == want_lo and hi.tolist() == want_hi, (n, m)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            sakoe_chiba_band(5, 5, -1)
+        with pytest.raises(ValueError):
+            sakoe_chiba_band(0, 5, 1)
 
 
 class TestCoarsen:

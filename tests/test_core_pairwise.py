@@ -21,7 +21,7 @@ from repro.core.pairwise import (
     dtw_band_lower_bound,
     dtw_band_upper_bound,
     dtw_banded_batch,
-    dtw_banded_vec,
+    dtw_banded_batch_abandon,
     get_engine_defaults,
     lb_kim,
     set_engine_defaults,
@@ -65,15 +65,27 @@ def _scenario_arrays(rng, n_ids=6, n_min=80, n_max=220, similar=2):
     return arrays
 
 
+def _ragged_one(x, y, radius):
+    """One pair through the engine's exact ragged kernel."""
+    (triple,), abandoned = dtw_banded_batch_abandon(
+        [np.asarray(x, dtype=float)],
+        [np.asarray(y, dtype=float)],
+        radius,
+        np.asarray([np.inf]),
+    )
+    assert abandoned == {}
+    return triple
+
+
 class TestVectorKernel:
+    """The ragged kernel (one call, C or numpy) against the scalar DP."""
+
     @given(x=_series, y=_series, radius=st.integers(0, 12))
     @settings(max_examples=80, deadline=None)
     def test_matches_scalar_banded_exactly(self, x, y, radius):
         ref = dtw_banded_fast(np.array(x), np.array(y), radius)
-        got = dtw_banded_vec(np.array(x), np.array(y), radius)
-        assert got.distance == ref.distance
-        assert got.path == ref.path
-        assert got.cells == ref.cells
+        got = _ragged_one(x, y, radius)
+        assert got == (ref.distance, len(ref.path), ref.cells)
 
     @given(x=_series, y=_series)
     @settings(max_examples=40, deadline=None)
@@ -81,27 +93,22 @@ class TestVectorKernel:
         # A radius covering the whole matrix relaxes every cell, so the
         # banded optimum equals unconstrained DTW.
         radius = len(x) + len(y)
-        got = dtw_banded_vec(np.array(x), np.array(y), radius)
-        assert got.distance == dtw(np.array(x), np.array(y)).distance
+        distance, _, _ = _ragged_one(x, y, radius)
+        assert distance == dtw(np.array(x), np.array(y)).distance
 
     def test_typical_detector_window(self):
         rng = np.random.default_rng(3)
         x, y = rng.normal(size=200), rng.normal(size=200)
         ref = dtw_banded_fast(x, y, 10)
-        got = dtw_banded_vec(x, y, 10)
-        assert (got.distance, got.path, got.cells) == (
-            ref.distance,
-            ref.path,
-            ref.cells,
-        )
+        assert _ragged_one(x, y, 10) == (ref.distance, len(ref.path), ref.cells)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            dtw_banded_vec(np.ones(5), np.ones(5), -1)
+            _ragged_one(np.ones(5), np.ones(5), -1)
         with pytest.raises(ValueError):
-            dtw_banded_vec(np.ones(0), np.ones(5), 2)
+            _ragged_one(np.ones(0), np.ones(5), 2)
         with pytest.raises(ValueError):
-            dtw_banded_vec(np.ones((2, 2)), np.ones(5), 2)
+            _ragged_one(np.ones((2, 2)), np.ones(5), 2)
 
 
 class TestBatchKernel:
