@@ -60,18 +60,9 @@ _RULES: Dict[str, Tuple[str, str]] = {
     "pairs": ("both", "deterministic"),
     "pairs_exact": ("lower", "deterministic"),
     "pairs_pruned": ("higher", "deterministic"),
-    "pairs_incremental": ("higher", "deterministic"),
-    # Abandons trade off against carries/prunes on the seeded workload,
-    # so the count is an invariant, not a more-is-better metric.
-    "pairs_abandoned": ("both", "deterministic"),
-    "envelope_updates": ("both", "deterministic"),
     "cache_hits": ("higher", "deterministic"),
     "detections": ("both", "deterministic"),
     "sliding_rechecks_per_period": ("both", "deterministic"),
-    # incremental slide sweep (BENCH_incremental.json)
-    "cells_per_detection": ("lower", "deterministic"),
-    "cells_ratio": ("higher", "deterministic"),
-    "first_detection_s": ("both", "deterministic"),
     # parallel evaluation benchmark (BENCH_parallel.json)
     "serial_wall_ms": ("lower", "timing"),
     "parallel_wall_ms": ("lower", "timing"),

@@ -49,8 +49,8 @@ attribution (see README "Profiling").
 
 The pairwise comparison engine (``repro.core.pairwise``) is likewise
 configured globally: ``--pairwise {engine,naive}``,
-``--pairwise-pruning {on,off}``, ``--pairwise-incremental {on,off}``,
-``--pairwise-cache N`` and ``--pairwise-workers N`` set the
+``--pairwise-pruning {on,off}``, ``--pairwise-cache N`` and
+``--pairwise-workers N`` set the
 process-wide defaults every detector constructed during the run
 inherits (see README "Performance").
 
@@ -432,14 +432,6 @@ def _add_obs_arguments(
         help="decide pairs from DTW bounds when they cannot change the "
         "flagged set (off by default: pruned pairs report bound "
         "surrogates instead of exact distances)",
-    )
-    parser.add_argument(
-        "--pairwise-incremental",
-        choices=["on", "off"],
-        default=suppressed if suppress_defaults else None,
-        help="price each detection by what changed since the previous "
-        "period: sliding envelopes, carried verdicts, early-abandon DTW "
-        "(off by default; flags stay byte-identical to the exact path)",
     )
     parser.add_argument(
         "--pairwise-cache",
@@ -1145,11 +1137,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         pruning=(
             None if args.pairwise_pruning is None else args.pairwise_pruning == "on"
         ),
-        incremental=(
-            None
-            if args.pairwise_incremental is None
-            else args.pairwise_incremental == "on"
-        ),
         cache_size=args.pairwise_cache,
         workers=args.pairwise_workers,
     )
@@ -1295,7 +1282,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         set_engine_defaults(
             engine=previous_defaults.engine,
             pruning=previous_defaults.pruning,
-            incremental=previous_defaults.incremental,
             cache_size=previous_defaults.cache_size,
             workers=previous_defaults.workers,
         )

@@ -22,6 +22,7 @@ makes Voiceprint trust-relationship-free.
 from __future__ import annotations
 
 import threading
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
@@ -147,10 +148,10 @@ class DetectorConfig:
             that length bias; the ablation bench (E12) measures both.
         pairwise_engine: Run the comparison phase through the
             :class:`repro.core.pairwise.PairwiseEngine` (vectorised /
-            batched banded-DTW kernels plus the incremental pair
-            cache).  Bit-identical to the legacy per-pair loop, just
-            faster.  ``None`` (default) follows the process-wide
-            engine defaults (CLI ``--pairwise``).
+            batched banded-DTW kernels plus the pair cache).
+            Bit-identical to the legacy per-pair loop, just faster.
+            ``None`` (default) follows the process-wide engine defaults
+            (CLI ``--pairwise``).
         pairwise_pruning: Let :meth:`VoiceprintDetector.detect` decide
             pairs from the engine's lower/upper-bound cascade without
             running DTW when the bounds cannot change the flagged set
@@ -160,19 +161,10 @@ class DetectorConfig:
             consume distance *values* should leave this off (the
             default; see DESIGN.md).  ``None`` follows the process-wide
             defaults.
-        pairwise_incremental: Price each detection by what *changed*
-            since the previous period instead of the window size:
-            per-identity envelopes slide as beacons arrive, unchanged
-            pairs carry the previous period's exact distance, and
-            bound-undecided pairs run early-abandon DTW seeded with the
-            decision boundary (banded mode only; takes precedence over
-            ``pairwise_pruning``).  ``sybil_pairs`` stay byte-identical
-            to the exact path; like pruning, undecided-then-abandoned
-            pairs report surrogate distances — but only when
-            consecutive windows actually overlap, so disjoint-window
-            workloads (observation time == detection period) reproduce
-            exact-mode reports bit for bit (see DESIGN.md §5f).
-            ``None`` follows the process-wide defaults.
+        pairwise_incremental: Deprecated no-op.  The incremental engine
+            it selected was retired (the exact engine out-ran it on
+            every benchmark); setting it emits a ``DeprecationWarning``
+            and detection runs the exact engine.
         pairwise_cache_size: LRU capacity of the engine's pair cache
             (0 disables; ``None`` follows the process-wide defaults).
         pairwise_workers: Engine thread-pool width for exact kernel
@@ -232,6 +224,14 @@ class DetectorConfig:
         if self.pairwise_workers is not None and self.pairwise_workers < 0:
             raise ValueError(
                 f"pairwise_workers must be >= 0, got {self.pairwise_workers}"
+            )
+        if self.pairwise_incremental is not None:
+            warnings.warn(
+                "DetectorConfig.pairwise_incremental is deprecated and "
+                "ignored: the incremental engine was retired and detection "
+                "runs the exact engine",
+                DeprecationWarning,
+                stacklevel=3,
             )
 
 
@@ -345,8 +345,8 @@ class VoiceprintDetector:
             process default, see :func:`set_ownership_guard`).
 
     **Thread-safety contract (single writer).**  A detector instance
-    holds mutable per-identity buffers and incremental engine state
-    with no internal locking: exactly one thread may call the mutating
+    holds mutable per-identity buffers and engine state with no
+    internal locking: exactly one thread may call the mutating
     entry points (:meth:`observe`, :meth:`detect`, :meth:`load_series`,
     :meth:`forget`, :meth:`reset`).  ``repro.serve`` enforces this by
     sharding observers across worker threads — each shard thread owns
@@ -408,11 +408,6 @@ class VoiceprintDetector:
         self._pruning = (
             defaults.pruning if cfg.pairwise_pruning is None else cfg.pairwise_pruning
         )
-        self._incremental = (
-            defaults.incremental
-            if cfg.pairwise_incremental is None
-            else cfg.pairwise_incremental
-        )
         self._engine: Optional[PairwiseEngine] = None
         if use_engine:
             self._engine = PairwiseEngine(
@@ -421,7 +416,6 @@ class VoiceprintDetector:
                 fastdtw_radius=cfg.fastdtw_radius,
                 normalize_by_path_length=cfg.normalize_by_path_length,
                 pruning=self._pruning,
-                incremental=self._incremental,
                 cache_size=(
                     defaults.cache_size
                     if cfg.pairwise_cache_size is None
@@ -484,10 +478,9 @@ class VoiceprintDetector:
         Buffers are trimmed lazily to roughly twice the observation
         time, and identities whose *newest* sample has fallen more than
         twice the observation time behind the latest beacon are swept
-        away entirely (buffer plus incremental pair state) — an
-        identity that went silent can never contribute samples to a
-        window again, so keeping it would leak memory for every
-        identity a long-running observer ever heard.  The sweep is
+        away entirely — an identity that went silent can never
+        contribute samples to a window again, so keeping it would leak
+        memory for every identity a long-running observer ever heard.  The sweep is
         amortised: it runs at most once per observation time.
         """
         self._check_owner()
@@ -525,8 +518,6 @@ class VoiceprintDetector:
         ]
         for identity in stale:
             del self._buffers[identity]
-            if self._engine is not None:
-                self._engine.drop_identity(identity)
         if stale:
             self._c_stale_forgets.inc(len(stale))
         self._next_sweep_t = self._latest + self.config.observation_time
@@ -555,17 +546,9 @@ class VoiceprintDetector:
         return self._buffers.get(str(identity))
 
     def forget(self, identity: str) -> None:
-        """Drop an identity's buffer (e.g. after a node leaves range).
-
-        Incremental engine state referencing the identity (envelopes,
-        per-pair carries) is dropped with it: a node that re-enters
-        range later must never carry a stale pre-departure verdict.
-        """
+        """Drop an identity's buffer (e.g. after a node leaves range)."""
         self._check_owner()
-        identity = str(identity)
-        self._buffers.pop(identity, None)
-        if self._engine is not None:
-            self._engine.drop_identity(identity)
+        self._buffers.pop(str(identity), None)
 
     # ------------------------------------------------------------------
     # Comparison + confirmation phases
@@ -594,7 +577,6 @@ class VoiceprintDetector:
         self,
         now: float,
         capture: Optional[Dict[str, Any]] = None,
-        inc_out: Optional[Dict[str, Any]] = None,
     ) -> Tuple[Dict[str, np.ndarray], List[str], Optional[Dict[str, bytes]], str]:
         """Cut and normalise the observation window (``normalise`` span).
 
@@ -609,18 +591,10 @@ class VoiceprintDetector:
         each series was normalised with — ``(raw - mean) / divisor``
         reproduces the normalised series bit-identically (divisor 0
         marks the z-score constant-series case: all zeros).
-
-        When ``inc_out`` is given (incremental engine mode), it is
-        filled with the per-identity raw windows (``"raw"``), their
-        timestamps (``"times"``, which align the overlap between
-        consecutive sliding windows) and the same exact ``(mean,
-        divisor)`` pairs (``"params"``) the incremental engine uses to
-        map persistent raw-domain envelopes into the normalised domain.
         """
         with self._tracer.span("normalise") as span:
             window_start = now - self.config.observation_time
             windows: Dict[str, np.ndarray] = {}
-            window_times: Dict[str, np.ndarray] = {}
             skipped: List[str] = []
             for identity, buffer in self._buffers.items():
                 window = buffer.window(window_start, now + 1e-9)
@@ -628,11 +602,8 @@ class VoiceprintDetector:
                     skipped.append(identity)
                     continue
                 windows[identity] = window.values
-                if inc_out is not None:
-                    window_times[identity] = window.timestamps
             normalised: Dict[str, np.ndarray] = {}
             series_capture: Optional[Dict[str, Dict[str, Any]]] = None
-            params: Dict[str, Tuple[float, float]] = {}
             if self.config.scale_mode == "median" and windows:
                 sigmas = [float(np.std(v)) for v in windows.values()]
                 scale = self.config.sigma_multiplier * max(
@@ -642,7 +613,6 @@ class VoiceprintDetector:
                 for identity, values in windows.items():
                     mean = float(np.mean(values))
                     normalised[identity] = (values - mean) / scale
-                    params[identity] = (mean, scale)
                     if capture is not None:
                         if series_capture is None:
                             series_capture = capture.setdefault("series", {})
@@ -657,37 +627,27 @@ class VoiceprintDetector:
                     normalised[identity] = zscore(
                         values, sigma_multiplier=self.config.sigma_multiplier
                     )
-                    if capture is not None or inc_out is not None:
+                    if capture is not None:
                         sigma = float(np.std(values))
-                        mean = float(np.mean(values))
-                        divisor = (
-                            self.config.sigma_multiplier * sigma
-                            if sigma >= _SIGMA_FLOOR
-                            else 0.0
-                        )
-                        params[identity] = (mean, divisor)
-                        if capture is not None:
-                            if series_capture is None:
-                                series_capture = capture.setdefault("series", {})
-                            series_capture[identity] = {
-                                "values": values,
-                                "mean": mean,
-                                "divisor": divisor,
-                            }
+                        if series_capture is None:
+                            series_capture = capture.setdefault("series", {})
+                        series_capture[identity] = {
+                            "values": values,
+                            "mean": float(np.mean(values)),
+                            "divisor": (
+                                self.config.sigma_multiplier * sigma
+                                if sigma >= _SIGMA_FLOOR
+                                else 0.0
+                            ),
+                        }
             if capture is not None:
                 capture["scale_tag"] = scale_tag
             keys: Optional[Dict[str, bytes]] = None
-            if self._engine is not None and (
-                self._engine.cache_enabled or inc_out is not None
-            ):
+            if self._engine is not None and self._engine.cache_enabled:
                 keys = {
                     identity: values.tobytes()
                     for identity, values in windows.items()
                 }
-            if inc_out is not None:
-                inc_out["raw"] = windows
-                inc_out["times"] = window_times
-                inc_out["params"] = params
             span.set_attribute("series", len(normalised))
             span.set_attribute("skipped", len(skipped))
         return normalised, skipped, keys, scale_tag
@@ -746,7 +706,6 @@ class VoiceprintDetector:
             raise ValueError(f"density must be non-negative, got {density}")
         if now is None:
             now = self._latest if self._buffers else 0.0
-        incremental = self._engine is not None and self._engine.can_incremental
         pruning = self._engine is not None and self._engine.can_prune
         sink = default_audit_log()
         capture: Optional[Dict[str, Any]] = {} if sink is not None else None
@@ -755,53 +714,7 @@ class VoiceprintDetector:
         stopwatch = Stopwatch(self._h_detect_ms)
         with self._tracer.span("detection", density=float(density)) as root, \
                 stopwatch:
-            if incremental:
-                assert self._engine is not None
-                # Incremental comparison: per-identity envelope states
-                # slide with the window, unchanged pairs carry the
-                # previous period's exact distance, and bound-undecided
-                # pairs run early-abandon DTW seeded with the decision
-                # boundary.  Flags stay byte-identical to the exact
-                # path; surrogate distances appear only for pairs whose
-                # windows overlapped the previous period (DESIGN.md §5f).
-                inc_state: Dict[str, Any] = {}
-                normalised, skipped_list, keys, scale_tag = self._normalise(
-                    now, capture, inc_out=inc_state
-                )
-                assert keys is not None
-                compared = tuple(sorted(normalised))
-                skipped = tuple(sorted(skipped_list))
-                cutoff = self.threshold.threshold_at(density)
-                with self._tracer.span("pairwise_dtw") as span:
-                    cells_before = self._c_cells.value
-                    raw, flags, stats = self._engine.compare_incremental(
-                        normalised,
-                        inc_state["raw"],
-                        inc_state["times"],
-                        keys,
-                        scale_tag,
-                        inc_state["params"],
-                        float(cutoff),
-                        self.config.threshold_on,
-                    )
-                    span.set_attribute("pairs", len(raw))
-                    span.set_attribute("cells", int(self._c_cells.value - cells_before))
-                    span.set_attribute("pruned", stats.pruned)
-                    span.set_attribute("cache_hits", stats.cache_hits)
-                    span.set_attribute("incremental", stats.incremental)
-                    span.set_attribute("abandoned", stats.abandoned)
-                with self._tracer.span("minmax"):
-                    distances = minmax_distances(raw)
-                with self._tracer.span("threshold") as span:
-                    sybil_pairs = tuple(
-                        pair for pair in sorted(flags) if flags[pair]
-                    )
-                    sybil_ids = frozenset(
-                        identity for pair in sybil_pairs for identity in pair
-                    )
-                    span.set_attribute("threshold", float(cutoff))
-                    span.set_attribute("flagged", len(sybil_ids))
-            elif pruning:
+            if pruning:
                 assert self._engine is not None
                 # Threshold-aware comparison: the engine decides pairs
                 # from the bound cascade wherever the bounds cannot
@@ -918,10 +831,8 @@ class VoiceprintDetector:
         return report
 
     def reset(self) -> None:
-        """Drop all collection buffers and incremental state (fresh start)."""
+        """Drop all collection buffers (fresh start)."""
         self._check_owner()
         self._buffers.clear()
         self._latest = float("-inf")
         self._next_sweep_t = float("-inf")
-        if self._engine is not None:
-            self._engine.clear_incremental()

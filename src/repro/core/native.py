@@ -1,7 +1,6 @@
 """Runtime-compiled C backend for the banded DTW kernel.
 
-Every exact banded-DTW run of the pairwise engine (and every
-early-abandon run of its incremental mode) goes through one C call per
+Every banded-DTW run of the pairwise engine goes through one C call per
 batch: :func:`abandon_batch_native` takes a *ragged* batch — each pair
 with its own lengths ``n`` and ``m``, addressed by offsets into one flat
 buffer of series — builds each pair's Sakoe–Chiba band in C and relaxes
@@ -40,6 +39,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import shutil
 import subprocess
 import tempfile
 from typing import Optional
@@ -282,6 +282,8 @@ def _compile() -> Optional[ctypes.CDLL]:
             os.replace(obj_path, lib_path)  # atomic vs concurrent builds
         except (OSError, subprocess.SubprocessError):
             return None
+        finally:
+            shutil.rmtree(tmp_dir, ignore_errors=True)
     try:
         lib = ctypes.CDLL(lib_path)
         fn = lib.dtw_band_ragged

@@ -17,8 +17,7 @@ Two normalisations appear in the paper:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -30,8 +29,6 @@ __all__ = [
     "enhanced_zscore",
     "minmax",
     "minmax_distances",
-    "RunningStats",
-    "StreamingWindowStats",
 ]
 
 #: Below this standard deviation a series is treated as constant; the
@@ -102,145 +99,6 @@ def minmax(values: np.ndarray) -> np.ndarray:
     if hi - lo < _SIGMA_FLOOR:
         return np.zeros_like(arr)
     return (arr - lo) / (hi - lo)
-
-
-class RunningStats:
-    """Streaming mean/variance over a sliding window (Welford + removal).
-
-    Maintains the running mean and the sum of squared deviations (``M2``)
-    of the samples currently inside the window, updated in O(1) per
-    ``add``/``remove`` instead of O(window) per period.  This is the
-    screening-layer counterpart of :func:`zscore`: the incremental engine
-    uses it to track per-identity window statistics between detection
-    periods without re-reducing the whole window.
-
-    The batch path computes ``np.mean``/``np.std`` over the full window;
-    streaming accumulation follows a different float summation order, so
-    the two agree only to accumulation tolerance (~1e-9 relative), never
-    necessarily bit-for-bit.  The one exact guarantee — required by the
-    divisor==0.0 constant-series sentinel in the audit schema — is that a
-    window whose samples are all equal reports ``M2 == 0.0`` exactly, and
-    therefore ``std() == 0.0`` and ``divisor() == 0.0``:  ``add`` skips
-    the M2 update when the incoming sample equals the running mean, and
-    removals that empty the window reset both accumulators to exactly
-    zero.
-    """
-
-    __slots__ = ("count", "mean", "m2")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add(self, value: float) -> None:
-        """Fold one sample into the window (Welford update)."""
-        value = float(value)
-        self.count += 1
-        delta = value - self.mean
-        if delta == 0.0:
-            # Constant run: mean is unchanged and M2 must stay *exactly*
-            # what it was (0.0 for an all-constant window) rather than
-            # accumulate a -0.0/rounding residue.
-            return
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
-
-    def remove(self, value: float) -> None:
-        """Remove one sample previously ``add``-ed (reverse Welford)."""
-        value = float(value)
-        if self.count <= 0:
-            raise ValueError("remove() from empty RunningStats")
-        if self.count == 1:
-            self.count = 0
-            self.mean = 0.0
-            self.m2 = 0.0
-            return
-        self.count -= 1
-        delta = value - self.mean
-        if delta == 0.0:
-            return
-        self.mean -= delta / self.count
-        self.m2 -= delta * (value - self.mean)
-        if self.m2 < 0.0:
-            # Cancellation can leave a tiny negative residue; variance
-            # is non-negative by definition.
-            self.m2 = 0.0
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the current window (0.0 when empty)."""
-        if self.count <= 0:
-            return 0.0
-        return self.m2 / self.count
-
-    def std(self) -> float:
-        """Population standard deviation of the current window."""
-        return float(np.sqrt(self.variance))
-
-    def divisor(self, sigma_multiplier: float = 3.0) -> float:
-        """Z-score divisor ``k * sigma``; exactly 0.0 for constant windows.
-
-        Mirrors the constant-series sentinel of :func:`zscore` (and the
-        audit bundle's ``divisor == 0.0`` convention): a window with
-        sub-floor deviation normalises to all zeros, signalled by a 0.0
-        divisor rather than a near-zero one.
-        """
-        sigma = self.std()
-        if sigma < _SIGMA_FLOOR:
-            return 0.0
-        return sigma_multiplier * sigma
-
-
-class StreamingWindowStats:
-    """Timestamped sliding-window statistics fed one beacon at a time.
-
-    Wraps :class:`RunningStats` with the window bookkeeping the online
-    detector needs: ``push`` appends a ``(timestamp, value)`` sample and
-    ``advance`` drops samples older than the new window start, keeping
-    cost proportional to the number of samples that *entered or left*
-    the window — never to the window size.
-    """
-
-    __slots__ = ("_samples", "_stats")
-
-    def __init__(self) -> None:
-        self._samples: Deque[Tuple[float, float]] = deque()
-        self._stats = RunningStats()
-
-    def push(self, timestamp: float, value: float) -> None:
-        """Append one sample; timestamps must be non-decreasing."""
-        timestamp = float(timestamp)
-        if self._samples and timestamp < self._samples[-1][0]:
-            raise ValueError(
-                f"timestamp {timestamp} precedes window tail "
-                f"{self._samples[-1][0]}"
-            )
-        self._samples.append((timestamp, float(value)))
-        self._stats.add(value)
-
-    def advance(self, start: float) -> int:
-        """Drop samples with ``timestamp < start``; returns the count."""
-        dropped = 0
-        while self._samples and self._samples[0][0] < float(start):
-            _, value = self._samples.popleft()
-            self._stats.remove(value)
-            dropped += 1
-        return dropped
-
-    @property
-    def count(self) -> int:
-        return self._stats.count
-
-    @property
-    def mean(self) -> float:
-        return self._stats.mean
-
-    def std(self) -> float:
-        return self._stats.std()
-
-    def divisor(self, sigma_multiplier: float = 3.0) -> float:
-        return self._stats.divisor(sigma_multiplier)
 
 
 def minmax_distances(

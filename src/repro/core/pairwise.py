@@ -30,7 +30,7 @@ This module makes that stage cheap without changing a single decision:
   adaptive best-bound-first refinement, then decides the remaining
   pairs from their bounds (see ``DESIGN.md`` for the proof sketch).
 
-* **Incremental pair cache** — an LRU cache keyed by per-identity
+* **Pair cache** — an LRU cache keyed by per-identity
   window fingerprints (the exact bytes of the normalised series, plus
   the common scale factor), so a detection period only recomputes pairs
   whose series actually changed since the previous period.  A hit
@@ -40,18 +40,9 @@ This module makes that stage cheap without changing a single decision:
 * **Optional parallel executor** — a bounded thread pool (off by
   default) for the exact kernel evaluations that survive the cascade.
 
-* **Incremental mode** (off by default) — per-identity envelope state
-  and per-pair :class:`IncrementalPairState` persisted *across*
-  detection periods, so a 1 s recheck whose windows slid by a handful
-  of beacons pays for the new beacons only: envelopes update by
-  shifting the overlapping prefix instead of rebuilding, unchanged
-  windows carry the previous period's exact distance forward
-  (``incremental-carry``), and pairs whose verdict the bounds cannot
-  flip run :func:`dtw_banded_batch_abandon` — a banded kernel that
-  stops after a few anti-diagonals once the accumulated cost proves
-  the pair sits above the decision boundary (``early-abandon``).
-  Flag sets stay byte-identical to the exact path; see DESIGN.md §5f
-  for the invariants and the correctness argument.
+Audit bundles recorded by the retired incremental engine still carry
+its provenance tags (``incremental-carry``, ``early-abandon``);
+:mod:`repro.obs.audit` keeps reading and replaying them.
 
 Everything is instrumented through :mod:`repro.obs` (pairs pruned,
 cache hits/misses, cells relaxed and saved) and configured through
@@ -64,7 +55,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -79,7 +70,6 @@ from .normalization import _SIGMA_FLOOR
 
 __all__ = [
     "EngineDefaults",
-    "IncrementalPairState",
     "PROV_ABANDON",
     "PROV_CACHE",
     "PROV_EXACT",
@@ -109,23 +99,14 @@ PROV_CACHE = "cache-hit"
 PROV_PRUNED_LOWER = "pruned-lower"
 PROV_PRUNED_UPPER = "pruned-upper"
 PROV_PRUNED_DEGENERATE = "pruned-degenerate"
-#: Exact distance carried from the previous period's kernel run because
-#: neither window changed — bit-replayable like ``exact``.
+#: Tags written only by the retired incremental engine; audit bundles
+#: recorded with it still carry them.  A carry re-reported the previous
+#: period's exact distance for an unchanged window (bit-replayable like
+#: ``exact``); an abandon's distance is a surrogate.
 PROV_INCREMENTAL = "incremental-carry"
-#: Kernel run stopped early once the accumulated cost proved the pair
-#: lies above the decision boundary — the distance is a surrogate.
 PROV_ABANDON = "early-abandon"
 
 _INF = math.inf
-
-#: Relative float-drift guard on the early-abandon decision boundary:
-#: the abandon threshold is pushed this far above the exact boundary so
-#: that the handful of IEEE-754 roundings between the kernel's
-#: accumulated cost and the detector's flag expression can never flip
-#: an abandoned pair's verdict (the guard dominates the ~(n+m)·2⁻⁵³
-#: accumulation error by six orders of magnitude; pairs within the
-#: guard of the boundary simply run to completion).
-_ABANDON_GUARD = 1e-9
 
 #: Anti-diagonal stride between early-abandon checkpoints.  The abandon
 #: test (two consecutive diagonal minima above the threshold) is sound
@@ -152,12 +133,6 @@ class EngineDefaults:
             instead of exact distances in ``DetectionReport`` (decisions
             are unaffected; analysis/training consumers that read raw
             distances should leave this off — see DESIGN.md).
-        incremental: Persist per-identity envelopes and per-pair state
-            across detection periods and decide sliding-window rechecks
-            from carries, bounds, and early-abandon DTW.  Off by default
-            for the same reason as ``pruning``: decided-from-bounds and
-            abandoned pairs carry surrogate distances (flag sets are
-            unaffected — see DESIGN.md §5f).
         cache_size: Maximum cached pair results (LRU).  0 disables.
         workers: Thread-pool width for exact kernel evaluations.
             0 runs inline.
@@ -165,7 +140,6 @@ class EngineDefaults:
 
     engine: bool = True
     pruning: bool = False
-    incremental: bool = False
     cache_size: int = 256
     workers: int = 0
 
@@ -187,7 +161,6 @@ def get_engine_defaults() -> EngineDefaults:
 def set_engine_defaults(
     engine: Optional[bool] = None,
     pruning: Optional[bool] = None,
-    incremental: Optional[bool] = None,
     cache_size: Optional[int] = None,
     workers: Optional[int] = None,
 ) -> EngineDefaults:
@@ -203,7 +176,6 @@ def set_engine_defaults(
         for key, value in (
             ("engine", engine),
             ("pruning", pruning),
-            ("incremental", incremental),
             ("cache_size", cache_size),
             ("workers", workers),
         )
@@ -703,75 +675,6 @@ def dtw_band_upper_bound(
     return float(d @ d), path_len
 
 
-def _row_dots(mat: np.ndarray) -> np.ndarray:
-    """Per-row ``row @ row``, bit-identical to the scalar ``d @ d``.
-
-    A per-row loop (rather than one ``einsum``) so each row reduces
-    with exactly the summation order of the scalar bound helpers — the
-    batched bounds then reproduce the per-pair bounds bit-for-bit.
-    """
-    out = np.empty(mat.shape[0])
-    for p in range(mat.shape[0]):
-        row = np.ascontiguousarray(mat[p])
-        out[p] = row @ row
-    return out
-
-
-def dtw_band_upper_bound_batch(
-    xs_mat: np.ndarray, ys_mat: np.ndarray, radius: int
-) -> Tuple[np.ndarray, int]:
-    """:func:`dtw_band_upper_bound` over a stack of same-shape pairs.
-
-    ``xs_mat``/``ys_mat`` are ``(count, n)`` / ``(count, m)`` stacks;
-    returns ``(costs, path_length)`` with ``costs[p]`` bit-identical to
-    the scalar bound of row ``p`` (one shared gather of the cached path
-    indices replaces per-pair path construction).
-    """
-    count, n = xs_mat.shape
-    m = ys_mat.shape[1]
-    path = _upper_path_indices(n, m, radius)
-    if path is None:  # pragma: no cover - no known geometry triggers this
-        return np.full(count, _INF), max(n, m)
-    x_idx, y_idx, path_len = path
-    return _row_dots(xs_mat[:, x_idx] - ys_mat[:, y_idx]), path_len
-
-
-@lru_cache(maxsize=512)
-def _envelope_starts(
-    n: int, m: int, radius: int, width: int
-) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """Fixed-width envelope window starts for both bound directions.
-
-    For a persistent envelope of ``width`` sliding windows, returns the
-    0-indexed start per query sample such that each window is a superset
-    of the sample's true band interval — the covering condition of
-    :func:`_envelope_exceedance` — for the row direction (query ``x``
-    against an envelope of ``y``) and the column direction (query ``y``
-    against an envelope of ``x``).  A direction is ``None`` when
-    ``width`` cannot cover its widest interval (e.g. unequal series
-    lengths stretch the band beyond ``2·radius + 1``): callers must
-    fall back to computing that envelope directly.
-    """
-    lo, hi, monotone, _ = _band_arrays(n, m, radius)
-    row: Optional[np.ndarray] = None
-    if width <= m and int(np.max(hi - lo)) + 1 <= width:
-        row = np.minimum(lo - 1, m - width)
-        row.setflags(write=False)
-    col: Optional[np.ndarray] = None
-    if monotone:
-        cols = np.arange(1, m + 1, dtype=np.int64)
-        row_hi = np.searchsorted(lo, cols, side="right")
-        row_lo = np.searchsorted(hi, cols, side="left") + 1
-        if (
-            bool(np.all(row_lo <= row_hi))
-            and width <= n
-            and int(np.max(row_hi - row_lo)) + 1 <= width
-        ):
-            col = np.minimum(row_lo - 1, n - width)
-            col.setflags(write=False)
-    return row, col
-
-
 # ----------------------------------------------------------------------
 # LRU pair cache
 # ----------------------------------------------------------------------
@@ -814,15 +717,16 @@ class PairwiseStats:
         pairs: Identity pairs considered.
         exact: Pairs whose distance came from a kernel run.
         pruned: Pairs decided from bounds without running DTW.
-        cache_hits: Pairs answered from the incremental cache.
+        cache_hits: Pairs answered from the pair cache.
         cache_misses: Kernel runs that went through an enabled cache.
         cells: DP cells actually relaxed by kernel runs.
         cells_saved: DP cells avoided via cache hits and pruning.
-        incremental: Pairs whose exact distance was carried from the
-            previous period's per-pair state (windows unchanged).
-        abandoned: Kernel runs stopped early by the abandon threshold.
-        envelope_updates: Per-identity envelopes updated by sliding the
-            overlap instead of rebuilding from scratch.
+        incremental: Always 0.  The retired incremental engine counted
+            carried pairs here; the field stays for readers of its
+            records.
+        abandoned: Always 0 (the retired engine's early-abandoned runs).
+        envelope_updates: Always 0 (the retired engine's envelope
+            slides).
     """
 
     pairs: int = 0
@@ -864,55 +768,6 @@ class _PairBounds:
     cells: int  # kernel work a prune avoids
 
 
-@dataclass
-class IncrementalPairState:
-    """Last exact evaluation of one identity pair, kept across periods.
-
-    Keyed like the LRU cache — the stored window fingerprints and scale
-    tag must match the current period's exactly for the carried triple
-    to be reused — but stored per *identity pair*, so it survives cache
-    churn from unrelated pairs and can be dropped when an identity
-    leaves (:meth:`PairwiseEngine.drop_identity`).
-
-    Attributes:
-        key_a: Window fingerprint of the smaller identity at the last
-            exact kernel run.
-        key_b: Same for the larger identity.
-        scale_tag: Normalisation-scale fingerprint of that run.
-        triple: The run's raw ``(distance, path_length, cells)``.
-        flag: The verdict recorded for the pair that period (``None``
-            until a threshold-aware compare decided it).
-    """
-
-    key_a: bytes
-    key_b: bytes
-    scale_tag: str
-    triple: Tuple[float, int, int]
-    flag: Optional[bool] = None
-
-
-@dataclass
-class _IdentityState:
-    """Per-identity raw window + persistent envelope (incremental mode).
-
-    The envelope arrays are sliding min/max of the *raw* window at a
-    fixed width ``2·radius + 1`` (the exact Sakoe–Chiba interval width
-    for equal-length pairs; wider intervals fall back to direct bound
-    computation).  They live in the raw domain because the Z-score
-    parameters change every period, and the per-period normalisation
-    ``(x - mean) / divisor`` is monotone, so the normalised envelope is
-    just the normalised raw envelope — an O(n) transform instead of an
-    O(n·width) rebuild.
-    """
-
-    key: bytes
-    values: np.ndarray
-    timestamps: np.ndarray
-    env_lo: Optional[np.ndarray]  # None when the window is <= the width
-    env_hi: Optional[np.ndarray]
-    width: int
-
-
 class PairwiseEngine:
     """Pairwise DTW evaluation with kernel, cache, bounds, and pool.
 
@@ -928,23 +783,12 @@ class PairwiseEngine:
         normalize_by_path_length: Divide distances by warp-path length.
         pruning: Allow bound-cascade decisions in
             :meth:`compare_decided` (band mode only).
-        incremental: Allow :meth:`compare_incremental` (band mode only):
-            persistent per-identity envelopes + per-pair carry state +
-            early-abandon kernel runs.
         cache_size: LRU capacity in pairs; 0 disables caching.
         workers: Thread-pool width for exact evaluations; 0 = inline.
         registry: Metrics registry (defaults to the process-global one).
         metric_prefix: Instrument-name prefix (``"detector"`` so the
             engine's counters extend the detector's existing family).
     """
-
-    #: Eviction bounds for the incremental state stores (LRU by touch):
-    #: per-pair carry states and per-identity envelope states.  Sized
-    #: for hundreds of concurrently heard identities per observer —
-    #: far beyond the paper's scenarios — while keeping worst-case
-    #: memory bounded (~window bytes per identity, ~40 B per pair).
-    MAX_PAIR_STATES = 8192
-    MAX_IDENTITY_STATES = 512
 
     def __init__(
         self,
@@ -953,7 +797,6 @@ class PairwiseEngine:
         fastdtw_radius: int = 1,
         normalize_by_path_length: bool = True,
         pruning: bool = False,
-        incremental: bool = False,
         cache_size: int = 256,
         workers: int = 0,
         registry: Optional[MetricsRegistry] = None,
@@ -964,7 +807,6 @@ class PairwiseEngine:
         self.fastdtw_radius = fastdtw_radius
         self.normalize_by_path_length = normalize_by_path_length
         self.pruning = pruning
-        self.incremental = incremental
         if band_radius is not None and not use_exact_dtw:
             # Pay the one-time native-backend compile (if any) here, at
             # construction, so the first detection period isn't billed
@@ -972,10 +814,6 @@ class PairwiseEngine:
             native_warmup()
         self.workers = workers
         self._cache = _LRUCache(cache_size) if cache_size > 0 else None
-        self._pair_states: "OrderedDict[Pair, IncrementalPairState]" = (
-            OrderedDict()
-        )
-        self._identity_states: "OrderedDict[str, _IdentityState]" = OrderedDict()
         self.stats = PairwiseStats()
         #: When True, each compare call leaves a per-pair provenance map
         #: in :attr:`last_provenance` (tag + cache key + deciding bound)
@@ -992,14 +830,11 @@ class PairwiseEngine:
         self._c_misses = metrics.counter(f"{prefix}.cache_misses")
         self._c_cells = metrics.counter(f"{prefix}.dtw_cells")
         self._c_cells_saved = metrics.counter(f"{prefix}.cells_saved")
-        self._c_incremental = metrics.counter(f"{prefix}.pairs_incremental")
-        self._c_abandoned = metrics.counter(f"{prefix}.pairs_abandoned")
-        self._c_env_updates = metrics.counter(f"{prefix}.envelope_updates")
 
     # -- properties -----------------------------------------------------
     @property
     def cache_enabled(self) -> bool:
-        """Whether the incremental pair cache is active."""
+        """Whether the pair cache is active."""
         return self._cache is not None
 
     @property
@@ -1018,44 +853,10 @@ class PairwiseEngine:
             and not self.use_exact_dtw
         )
 
-    @property
-    def can_incremental(self) -> bool:
-        """Incremental decisions need the banded kernel for the same
-        reason pruning does: envelopes, abandon thresholds, and bounds
-        are all derived from the Sakoe–Chiba band geometry."""
-        return (
-            self.incremental
-            and self.band_radius is not None
-            and not self.use_exact_dtw
-        )
-
-    @property
-    def incremental_state_len(self) -> int:
-        """Number of per-pair carry states currently held."""
-        return len(self._pair_states)
-
     def clear_cache(self) -> None:
         """Drop every cached pair result."""
         if self._cache is not None:
             self._cache.clear()
-
-    def clear_incremental(self) -> None:
-        """Drop all per-pair and per-identity incremental state."""
-        self._pair_states.clear()
-        self._identity_states.clear()
-
-    def drop_identity(self, identity: str) -> None:
-        """Forget one identity's incremental state (eviction hook).
-
-        Removes the identity's envelope state and every per-pair carry
-        state touching it, so a departed (or re-joining) identity can
-        never be served a stale carry.  Mirrors the PR 1 fix for the
-        density estimator's illegitimate set on ``reset()``.
-        """
-        self._identity_states.pop(identity, None)
-        stale = [pair for pair in self._pair_states if identity in pair]
-        for pair in stale:
-            del self._pair_states[pair]
 
     # -- kernel ---------------------------------------------------------
     def _kernel(self, a: np.ndarray, b: np.ndarray) -> DTWResult:
@@ -1162,9 +963,6 @@ class PairwiseEngine:
         self._c_misses.inc(stats.cache_misses)
         self._c_cells.inc(stats.cells)
         self._c_cells_saved.inc(stats.cells_saved)
-        self._c_incremental.inc(stats.incremental)
-        self._c_abandoned.inc(stats.abandoned)
-        self._c_env_updates.inc(stats.envelope_updates)
 
     # -- exact all-pairs comparison --------------------------------------
     def compare(
@@ -1473,658 +1271,13 @@ class PairwiseEngine:
         self._flush(stats)
         return distances, flags, stats
 
-    # -- incremental comparison (persistent state + early abandon) -------
-    def _store_pair_state(
-        self,
-        pair: Pair,
-        key_a: bytes,
-        key_b: bytes,
-        scale_tag: str,
-        triple: Tuple[float, int, int],
-    ) -> None:
-        """Record a pair's exact kernel triple for next-period carries."""
-        state = self._pair_states.get(pair)
-        if state is not None:
-            state.key_a = key_a
-            state.key_b = key_b
-            state.scale_tag = scale_tag
-            state.triple = triple
-            state.flag = None
-            self._pair_states.move_to_end(pair)
-            return
-        self._pair_states[pair] = IncrementalPairState(
-            key_a, key_b, scale_tag, triple
+    def compare_incremental(self, *args: Any, **kwargs: Any) -> Any:
+        """Retired: the incremental engine lost to the exact engine on
+        every benchmark once the kernel went native, and was removed.
+
+        The name stays so external tracers that resolve it keep working.
+        """
+        raise RuntimeError(
+            "the incremental pairwise engine was retired; detect() runs "
+            "the exact engine"
         )
-        while len(self._pair_states) > self.MAX_PAIR_STATES:
-            self._pair_states.popitem(last=False)
-
-    def _refresh_identity(
-        self,
-        identity: str,
-        values: np.ndarray,
-        timestamps: np.ndarray,
-        key: bytes,
-        stats: PairwiseStats,
-    ) -> Tuple[_IdentityState, bool]:
-        """Bring one identity's raw-domain envelope state up to date.
-
-        Three cases, cheapest first: the window is byte-identical to
-        the stored one (no-op); the stored window is a prefix-aligned
-        predecessor of the new one (slide: copy the still-valid
-        envelope entries, compute fresh entries only for the tail the
-        new beacons touched — O(new·width)); anything else (rebuild —
-        O(window·width)).
-
-        Returns ``(state, overlapped)``.  ``overlapped`` is True when
-        the new window shares an aligned sample run with the previous
-        period's — the precondition :meth:`compare_incremental` uses to
-        allow surrogate-producing fast paths for the identity's pairs.
-        Disjoint consecutive windows (observation time == detection
-        period, the fig11a grid) therefore take the fully exact path
-        and reproduce exact-mode reports byte for byte.
-        """
-        assert self.band_radius is not None
-        width = 2 * self.band_radius + 1
-        state = self._identity_states.get(identity)
-        if state is not None and state.key == key and state.width == width:
-            self._identity_states.move_to_end(identity)
-            return state, True
-        n = values.size
-        overlapped = False
-        slid = False
-        env_lo: Optional[np.ndarray] = None
-        env_hi: Optional[np.ndarray] = None
-        if state is not None and state.timestamps.size and n:
-            old_ts = state.timestamps
-            f = int(np.searchsorted(old_ts, timestamps[0], side="left"))
-            o = old_ts.size - f  # overlap length if the tails align
-            if (
-                0 < o <= n
-                and np.array_equal(old_ts[f:], timestamps[:o])
-                and np.array_equal(state.values[f:], values[:o])
-            ):
-                overlapped = True
-                if (
-                    n > width
-                    and o > width
-                    and state.env_lo is not None
-                    and state.env_hi is not None
-                    and state.width == width
-                ):
-                    keep = o - width + 1  # envelope entries inside the overlap
-                    count = n - width + 1
-                    env_lo = np.empty(count)
-                    env_hi = np.empty(count)
-                    env_lo[:keep] = state.env_lo[f : f + keep]
-                    env_hi[:keep] = state.env_hi[f : f + keep]
-                    if keep < count:
-                        tail = sliding_window_view(values[keep:], width)
-                        env_lo[keep:] = tail.min(axis=1)
-                        env_hi[keep:] = tail.max(axis=1)
-                    stats.envelope_updates += 1
-                    slid = True
-        if n > width and not slid:
-            windows = sliding_window_view(values, width)
-            env_lo = np.ascontiguousarray(windows.min(axis=1))
-            env_hi = np.ascontiguousarray(windows.max(axis=1))
-        state = _IdentityState(key, values, timestamps, env_lo, env_hi, width)
-        self._identity_states[identity] = state
-        self._identity_states.move_to_end(identity)
-        while len(self._identity_states) > self.MAX_IDENTITY_STATES:
-            self._identity_states.popitem(last=False)
-        return state, overlapped
-
-    def _incremental_lower_bound(
-        self,
-        xa: np.ndarray,
-        xb: np.ndarray,
-        env_a: Optional[Tuple[np.ndarray, np.ndarray]],
-        env_b: Optional[Tuple[np.ndarray, np.ndarray]],
-        radius: int,
-    ) -> float:
-        """:func:`dtw_band_lower_bound` served from persistent envelopes.
-
-        ``env_a``/``env_b`` are the identities' normalised ``(lo, hi)``
-        envelope arrays (``None`` when the window is no longer than the
-        envelope width — the whole-series min/max then covers every
-        interval).  Directions whose band intervals outgrow the fixed
-        envelope width (unequal series lengths) fall back to computing
-        the envelope directly, exactly as the non-incremental bound.
-        """
-        n, m = xa.size, xb.size
-        bound = lb_kim(xa, xb)
-        width = 2 * radius + 1
-        row_starts, col_starts = _envelope_starts(n, m, radius, width)
-        if env_b is None:
-            env_lo = float(np.min(xb))
-            env_hi = float(np.max(xb))
-            d = np.maximum(xa - env_hi, 0.0) + np.maximum(env_lo - xa, 0.0)
-            bound = max(bound, float(d @ d))
-        elif row_starts is not None:
-            el = env_b[0][row_starts]
-            eh = env_b[1][row_starts]
-            d = np.maximum(xa - eh, 0.0) + np.maximum(el - xa, 0.0)
-            bound = max(bound, float(d @ d))
-        else:
-            lo, hi, _, _ = _band_arrays(n, m, radius)
-            bound = max(bound, _envelope_exceedance(xa, xb, lo - 1, hi - 1))
-        if env_a is None:
-            env_lo = float(np.min(xa))
-            env_hi = float(np.max(xa))
-            d = np.maximum(xb - env_hi, 0.0) + np.maximum(env_lo - xb, 0.0)
-            bound = max(bound, float(d @ d))
-        elif col_starts is not None:
-            el = env_a[0][col_starts]
-            eh = env_a[1][col_starts]
-            d = np.maximum(xb - eh, 0.0) + np.maximum(el - xb, 0.0)
-            bound = max(bound, float(d @ d))
-        return bound
-
-    def _compute_bounds(
-        self,
-        need: List[Pair],
-        arrays: Mapping[str, np.ndarray],
-        norm_env: Mapping[str, Optional[Tuple[np.ndarray, np.ndarray]]],
-        radius: int,
-        bounds: Dict[Pair, "_PairBounds"],
-    ) -> None:
-        """Fill ``bounds`` for ``need`` with the lower/upper sandwich.
-
-        Pairs sharing one ``(n, m)`` shape whose persistent envelopes
-        and fixed-width window starts all exist are bounded in one
-        vectorised pass (a shared gather of the cached envelope starts
-        and upper-path indices); each batched bound is bit-identical to
-        the per-pair :meth:`_incremental_lower_bound` /
-        :func:`dtw_band_upper_bound` result, so batching never changes
-        a pruning decision.  Remaining pairs fall back to the scalar
-        helpers.
-        """
-        width = 2 * radius + 1
-        groups: Dict[Tuple[int, int], List[Pair]] = {}
-        for pair in need:
-            shape = (arrays[pair[0]].size, arrays[pair[1]].size)
-            groups.setdefault(shape, []).append(pair)
-
-        def store(pair: Pair, lower: float, upper_cost: float, n: int, m: int):
-            if self.normalize_by_path_length:
-                lower /= n + m - 1
-                upper = upper_cost / max(n, m)
-            else:
-                upper = upper_cost
-            bounds[pair] = _PairBounds(lower, upper, band_cells(n, m, radius))
-
-        for (n, m), group in groups.items():
-            row_starts, col_starts = _envelope_starts(n, m, radius, width)
-            batch: List[Pair] = []
-            for pair in group:
-                a, b = pair
-                if (
-                    row_starts is None
-                    or col_starts is None
-                    or norm_env[a] is None
-                    or norm_env[b] is None
-                ):
-                    lower = self._incremental_lower_bound(
-                        arrays[a], arrays[b], norm_env[a], norm_env[b], radius
-                    )
-                    upper_cost, _len = dtw_band_upper_bound(
-                        arrays[a], arrays[b], radius
-                    )
-                    store(pair, lower, upper_cost, n, m)
-                else:
-                    batch.append(pair)
-            if not batch:
-                continue
-            # Stack per *identity*, then gather per pair: identities
-            # repeat across the O(k^2) pairs, so this turns ~P row
-            # stacks into ~k stacks plus one fancy-index per side.
-            a_ids = sorted({pair[0] for pair in batch})
-            b_ids = sorted({pair[1] for pair in batch})
-            a_pos = {ident: k for k, ident in enumerate(a_ids)}
-            b_pos = {ident: k for k, ident in enumerate(b_ids)}
-            ai = np.asarray([a_pos[pair[0]] for pair in batch])
-            bi = np.asarray([b_pos[pair[1]] for pair in batch])
-            xs_all = np.stack([arrays[i] for i in a_ids])
-            ys_all = np.stack([arrays[i] for i in b_ids])
-            xs = xs_all[ai]
-            ys = ys_all[bi]
-            d0 = xs[:, 0] - ys[:, 0]
-            d1 = xs[:, -1] - ys[:, -1]
-            lowers = d0 * d0 + d1 * d1
-            env_b_lo = np.stack([norm_env[i][0] for i in b_ids])
-            env_b_hi = np.stack([norm_env[i][1] for i in b_ids])
-            el = env_b_lo[np.ix_(bi, row_starts)]
-            eh = env_b_hi[np.ix_(bi, row_starts)]
-            lowers = np.maximum(
-                lowers,
-                _row_dots(np.maximum(xs - eh, 0.0) + np.maximum(el - xs, 0.0)),
-            )
-            env_a_lo = np.stack([norm_env[i][0] for i in a_ids])
-            env_a_hi = np.stack([norm_env[i][1] for i in a_ids])
-            el = env_a_lo[np.ix_(ai, col_starts)]
-            eh = env_a_hi[np.ix_(ai, col_starts)]
-            lowers = np.maximum(
-                lowers,
-                _row_dots(np.maximum(ys - eh, 0.0) + np.maximum(el - ys, 0.0)),
-            )
-            uppers, _plen = dtw_band_upper_bound_batch(xs, ys, radius)
-            for index, pair in enumerate(batch):
-                store(pair, float(lowers[index]), float(uppers[index]), n, m)
-
-    def compare_incremental(
-        self,
-        arrays: Mapping[str, np.ndarray],
-        raw: Mapping[str, np.ndarray],
-        times: Mapping[str, np.ndarray],
-        keys: Mapping[str, bytes],
-        scale_tag: str,
-        norm_params: Mapping[str, Tuple[float, float]],
-        cutoff: float,
-        threshold_on: str,
-    ) -> Tuple[Dict[Pair, float], Dict[Pair, bool], PairwiseStats]:
-        """Threshold-aware comparison priced by what changed since last
-        period.
-
-        The same flag contract as :meth:`compare_decided` — the flag
-        set is byte-identical to the exact pairwise loop followed by
-        the threshold rule — but the work is proportional to the *new*
-        beacons:
-
-        1. per-identity envelope states slide instead of rebuilding;
-        2. pairs whose windows did not change carry the previous
-           period's exact distance (``incremental-carry``);
-        3. undecided pairs get the bound sandwich from the persistent
-           envelopes (O(window) per pair instead of O(window·width));
-        4. pairs the bounds cannot decide run the early-abandon kernel
-           seeded with the decision boundary — most verdict-unchanged
-           pairs die within a few anti-diagonals (``early-abandon``,
-           flag False with a surrogate distance); only genuinely
-           near-threshold pairs pay for a full kernel run.
-
-        Args:
-            arrays: Identity → normalised window.
-            raw: Identity → raw (pre-normalisation) window values.
-            times: Identity → window timestamps (aligns the overlap
-                between consecutive sliding windows).
-            keys: Identity → window fingerprint (exact raw bytes).
-            scale_tag: Fingerprint of the normalisation scale.
-            norm_params: Identity → ``(mean, divisor)`` actually used
-                to produce ``arrays`` (divisor 0.0 = constant series).
-            cutoff: Decision threshold.
-            threshold_on: ``"normalized"`` (Eq. 8 min–max first) or
-                ``"raw"``.
-
-        Returns:
-            ``(distances, flags, stats)`` in sorted-identity order.
-        """
-        if not self.can_incremental:
-            raise RuntimeError(
-                "compare_incremental requires banded-kernel incremental mode"
-            )
-        assert self.band_radius is not None
-        radius = self.band_radius
-        stats = PairwiseStats()
-        prov = self._begin_provenance()
-        ids = sorted(arrays)
-        pairs: List[Pair] = [
-            (a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]
-        ]
-        stats.pairs = len(pairs)
-        if not pairs:
-            self._flush(stats)
-            return {}, {}, stats
-
-        norm_env: Dict[str, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
-        overlapped: Dict[str, bool] = {}
-        for ident in ids:
-            state, did_overlap = self._refresh_identity(
-                ident, raw[ident], times[ident], keys[ident], stats
-            )
-            overlapped[ident] = did_overlap
-            if state.env_lo is None or state.env_hi is None:
-                norm_env[ident] = None
-                continue
-            mean, divisor = norm_params[ident]
-            if divisor == 0.0:
-                # Constant-series sentinel: the normalised window is all
-                # zeros, and so is its envelope.
-                zeros = np.zeros_like(state.env_lo)
-                norm_env[ident] = (zeros, zeros)
-            else:
-                # (x - mean) / divisor is monotone, so the normalised
-                # envelope is the normalised raw envelope — bit-equal to
-                # sliding min/max over the normalised window.
-                norm_env[ident] = (
-                    (state.env_lo - mean) / divisor,
-                    (state.env_hi - mean) / divisor,
-                )
-
-        exact: Dict[Pair, float] = {}
-        pair_keys: Dict[Pair, Optional[tuple]] = {}
-        bounds: Dict[Pair, _PairBounds] = {}
-        must_exact: List[Pair] = []
-        need_bounds: List[Pair] = []
-        for pair in pairs:
-            a, b = pair
-            key = self._pair_key(a, b, keys, scale_tag)
-            pair_keys[pair] = key
-            state = self._pair_states.get(pair)
-            if (
-                state is not None
-                and state.key_a == keys[a]
-                and state.key_b == keys[b]
-                and state.scale_tag == scale_tag
-            ):
-                self._pair_states.move_to_end(pair)
-                exact[pair] = self._finish(state.triple[0], state.triple[1])
-                stats.incremental += 1
-                stats.cells_saved += state.triple[2]
-                if prov is not None:
-                    prov[pair] = {
-                        "tag": PROV_INCREMENTAL,
-                        "key": key,
-                    }
-                continue
-            if key is not None and self._cache is not None:
-                entry = self._cache.get(key)
-                if entry is not None:
-                    stats.cache_hits += 1
-                    stats.cells_saved += entry[2]
-                    exact[pair] = self._finish(entry[0], entry[1])
-                    self._store_pair_state(pair, keys[a], keys[b], scale_tag, entry)
-                    if prov is not None:
-                        prov[pair] = {
-                            "tag": PROV_CACHE,
-                            "key": key,
-                        }
-                    continue
-            if not (overlapped[a] and overlapped[b]):
-                # At least one window is fresh (no aligned overlap with
-                # the previous period).  Surrogate-producing shortcuts
-                # would make the report diverge from exact mode on
-                # disjoint-window workloads (the fig11a grid), so these
-                # pairs always run the exact kernel.
-                must_exact.append(pair)
-                continue
-            need_bounds.append(pair)
-        self._compute_bounds(need_bounds, arrays, norm_env, radius, bounds)
-
-        flags: Dict[Pair, bool] = {}
-        surrogates: Dict[Pair, float] = {}
-
-        def run_exact(
-            pair: Pair, triple: Optional[Tuple[float, int, int]] = None
-        ) -> float:
-            a, b = pair
-            if triple is None:
-                (triple,) = self._run_kernels([pair], arrays)
-            value = self._compute(pair_keys[pair], stats, triple)
-            self._store_pair_state(pair, keys[a], keys[b], scale_tag, triple)
-            exact[pair] = value
-            bounds.pop(pair, None)
-            if prov is not None:
-                prov[pair] = {
-                    "tag": PROV_EXACT,
-                    "key": pair_keys[pair],
-                }
-            return value
-
-        def run_batch(jobs: Dict[Pair, float]) -> Dict[Pair, Tuple[float, int]]:
-            """ONE early-abandon kernel call over all undecided pairs.
-
-            ``jobs`` maps each pair to its abandon boundary in distance
-            units (``inf`` forces an exact run — carries the must-exact
-            and extreme-candidate pairs through the same call, so a
-            detection pays for a single ragged kernel launch instead of
-            one per decision phase).  Completed pairs are bit-identical
-            kernel results and go through ``run_exact``; returns
-            ``pair → (evidence, cells_saved)`` (distance units) for the
-            pairs that abandoned, whose flag/surrogate the caller
-            assigns — or revokes, refunding ``cells_saved`` — once the
-            decision boundary is final.
-            """
-            abandoned: Dict[Pair, Tuple[float, int]] = {}
-            batch = list(jobs)
-            xs = [arrays[a] for a, _ in batch]
-            ys = [arrays[b] for _, b in batch]
-            # distance = cost / path_length with path_length <= n + m - 1,
-            # so cost > c·(n+m-1) implies distance > c.
-            factors = np.asarray(
-                [
-                    float(x.size + y.size - 1) if self.normalize_by_path_length
-                    else 1.0
-                    for x, y in zip(xs, ys)
-                ]
-            )
-            results, dead = dtw_banded_batch_abandon(
-                xs, ys, radius, np.asarray([jobs[p] for p in batch]) * factors
-            )
-            for index, pair in enumerate(batch):
-                triple = results[index]
-                if triple is not None:
-                    run_exact(pair, triple)
-                    continue
-                evidence, cells_done = dead[index]
-                n, m = xs[index].size, ys[index].size
-                saved = max(band_cells(n, m, radius) - cells_done, 0)
-                stats.abandoned += 1
-                stats.cells += cells_done
-                stats.cells_saved += saved
-                if self.normalize_by_path_length:
-                    evidence /= n + m - 1
-                abandoned[pair] = (evidence, saved)
-                bounds.pop(pair, None)
-                if prov is not None:
-                    prov[pair] = {
-                        "tag": PROV_ABANDON,
-                        "bound": evidence,
-                    }
-            return abandoned
-
-        jobs: Dict[Pair, float] = {pair: _INF for pair in must_exact}
-
-        if threshold_on == "raw":
-            c_safe = cutoff + _ABANDON_GUARD * (abs(cutoff) + 1.0)
-            for pair in pairs:
-                if pair in exact or pair in jobs:
-                    continue
-                bound = bounds.pop(pair)
-                if bound.upper <= cutoff:
-                    flags[pair] = True
-                    surrogates[pair] = bound.upper
-                    stats.pruned += 1
-                    stats.cells_saved += bound.cells
-                    if prov is not None:
-                        prov[pair] = {
-                            "tag": PROV_PRUNED_UPPER,
-                            "bound": bound.upper,
-                        }
-                elif bound.lower > cutoff:
-                    flags[pair] = False
-                    surrogates[pair] = bound.lower
-                    stats.pruned += 1
-                    stats.cells_saved += bound.cells
-                    if prov is not None:
-                        prov[pair] = {
-                            "tag": PROV_PRUNED_LOWER,
-                            "bound": bound.lower,
-                        }
-                else:
-                    jobs[pair] = c_safe
-            for pair, (evidence, _saved) in run_batch(jobs).items():
-                flags[pair] = False
-                surrogates[pair] = evidence
-            for pair, value in exact.items():
-                flags[pair] = value <= cutoff
-        else:  # "normalized": min–max first, so pin dmin/dmax exactly
-            deferred: Dict[Pair, _PairBounds] = {}
-            if bounds:
-                # Conservative interval for the true extremes from the
-                # carried exacts and the bound sandwich: dmin lies in
-                # [dmin_low, dmin_up] and dmax in [dmax_low, dmax_up].
-                ex = list(exact.values())
-                lows = [b.lower for b in bounds.values()]
-                ups = [b.upper for b in bounds.values()]
-                dmin_low, dmin_up = min(ex + lows), min(ex + ups)
-                dmax_low, dmax_up = max(ex + lows), max(ex + ups)
-                if len(bounds) > 8:
-                    # Seed the interval with the exact distance of the
-                    # best dmax candidate: max-of-lowers is a loose
-                    # dmax floor, so one cheap scalar run collapses
-                    # "could be the max" from half the pairs to the
-                    # genuine tail.  (dmin needs no seed — min-of-
-                    # uppers is already tight for near-identical
-                    # windows, so its candidate set is small.)
-                    seed = max(bounds, key=lambda p: bounds[p].lower)
-                    value = run_exact(seed)
-                    ex.append(value)
-                    dmax_low = max(dmax_low, value)
-                    dmin_up = min(dmin_up, value)
-                denom_up = max(dmax_up - dmin_low, 0.0)
-                denom_low = max(dmax_low - dmin_up, 0.0)
-                if cutoff >= 0.0:
-                    c_up = dmin_up + cutoff * denom_up
-                    c_low = dmin_low + cutoff * denom_low
-                else:
-                    c_up = dmin_up + cutoff * denom_low
-                    c_low = dmin_low + cutoff * denom_up
-                # Predicted boundary: the seeded dmax_low is an
-                # *achieved* distance (usually the true dmax), so
-                # dmin_up + cutoff·(dmax_low − dmin_low) is a much
-                # tighter abandon boundary than the worst-case c_up
-                # built from the staircase uppers.  Abandoning at a
-                # guessed boundary is sound regardless of whether the
-                # guess was right — the evidence is a true lower bound
-                # on the pair's distance either way — because every
-                # abandon verdict is re-validated against the *pinned*
-                # boundary below, and unproven pairs rerun exactly.
-                denom_guess = max(dmax_low - dmin_low, 0.0)
-                c_guess = dmin_up + cutoff * denom_guess
-                c_guess = min(max(c_guess, c_low), c_up)
-                c_guess_safe = c_guess + _ABANDON_GUARD * (
-                    abs(c_guess) + denom_up
-                )
-                for pair in list(bounds):
-                    bound = bounds[pair]
-                    if bound.lower <= dmin_up or bound.upper >= dmax_low:
-                        # Could be an extreme: its exact value may set
-                        # dmin/dmax, so it runs to completion.  (The
-                        # non-strict test keeps every achiever of
-                        # dmin_up/dmax_low exact, which is what makes
-                        # the extremes of the exact set the true ones.)
-                        jobs[pair] = _INF
-                    elif bound.upper <= c_low or bound.lower > c_up:
-                        # Decidable from bounds alone against any
-                        # possible boundary; the flag itself is
-                        # assigned after pinning, with the exact
-                        # path's own float expressions.
-                        deferred[pair] = bounds.pop(pair)
-                    else:
-                        # Near some possible boundary: abandon at the
-                        # predicted boundary; the verdict is validated
-                        # (or revoked) once the true one is pinned.
-                        jobs[pair] = c_guess_safe
-            abandoned = run_batch(jobs)
-            # Safety net (no-op when the candidate selection above is
-            # exhaustive): any surviving bound that could still beat an
-            # exact extreme runs exactly, one batched round at a time.
-            while bounds:
-                dmin_est = min(exact.values())
-                todo = [p for p in bounds if bounds[p].lower < dmin_est]
-                if not todo:
-                    break
-                for pair, triple in zip(todo, self._run_kernels(todo, arrays)):
-                    run_exact(pair, triple)
-            while bounds:
-                dmax_est = max(exact.values())
-                todo = [p for p in bounds if bounds[p].upper > dmax_est]
-                if not todo:
-                    break
-                for pair, triple in zip(todo, self._run_kernels(todo, arrays)):
-                    run_exact(pair, triple)
-            dmin = min(exact.values())
-            dmax = max(exact.values())
-            denom = dmax - dmin
-            if denom < _SIGMA_FLOOR:
-                # Degenerate spread: exact mode maps every margin to
-                # 0.0, overriding every per-pair decision (including
-                # any abandon verdict — unreachable in practice, but
-                # the override keeps the contract airtight).
-                flag_all = 0.0 <= cutoff
-                for pair in pairs:
-                    flags[pair] = flag_all
-                for pair, bound in deferred.items():
-                    surrogates[pair] = min(max(bound.lower, dmin), dmax)
-                    stats.pruned += 1
-                    stats.cells_saved += bound.cells
-                    if prov is not None:
-                        prov[pair] = {
-                            "tag": PROV_PRUNED_DEGENERATE,
-                            "bound": bound.lower,
-                        }
-                for pair, (evidence, _saved) in abandoned.items():
-                    surrogates[pair] = min(max(evidence, dmin), dmax)
-            else:
-                for pair, bound in deferred.items():
-                    if (bound.upper - dmin) / denom <= cutoff:
-                        flags[pair] = True
-                        surrogates[pair] = min(bound.upper, dmax)
-                        stats.pruned += 1
-                        stats.cells_saved += bound.cells
-                        if prov is not None:
-                            prov[pair] = {
-                                "tag": PROV_PRUNED_UPPER,
-                                "bound": bound.upper,
-                            }
-                    elif (bound.lower - dmin) / denom > cutoff:
-                        flags[pair] = False
-                        surrogates[pair] = max(bound.lower, dmin)
-                        stats.pruned += 1
-                        stats.cells_saved += bound.cells
-                        if prov is not None:
-                            prov[pair] = {
-                                "tag": PROV_PRUNED_LOWER,
-                                "bound": bound.lower,
-                            }
-                    else:
-                        # The float-evaluated bounds straddle the final
-                        # boundary (conservative selection can't rule
-                        # this out to the last ulp): run it exactly.
-                        run_exact(pair)
-                # Validate each abandon verdict against the *pinned*
-                # boundary with the exact path's own float expression:
-                # the evidence is a proven lower bound on the pair's
-                # distance, and IEEE rounding is monotone in the
-                # numerator, so evidence failing the cutoff test proves
-                # the true distance fails it too.  Pairs whose evidence
-                # does not clear the pinned boundary (the prediction
-                # was too tight) rerun exactly, with their abandon
-                # bookkeeping refunded.
-                stragglers: List[Pair] = []
-                for pair, (evidence, saved) in abandoned.items():
-                    if (evidence - dmin) / denom > cutoff:
-                        flags[pair] = False
-                        surrogates[pair] = min(max(evidence, dmin), dmax)
-                    else:
-                        stats.abandoned -= 1
-                        stats.cells_saved -= saved
-                        stragglers.append(pair)
-                run_batch({pair: _INF for pair in stragglers})
-                for pair, value in exact.items():
-                    flags[pair] = (value - dmin) / denom <= cutoff
-
-        for pair in pairs:
-            state = self._pair_states.get(pair)
-            if (
-                state is not None
-                and state.key_a == keys[pair[0]]
-                and state.key_b == keys[pair[1]]
-                and state.scale_tag == scale_tag
-            ):
-                state.flag = flags[pair]
-        distances = {
-            pair: exact[pair] if pair in exact else surrogates[pair]
-            for pair in pairs
-        }
-        self._flush(stats)
-        return distances, flags, stats

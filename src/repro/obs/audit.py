@@ -35,8 +35,7 @@ normalisation divisor, any recorded ``exact`` pair can be **replayed**:
 fresh :class:`~repro.core.pairwise.PairwiseEngine` with the recorded
 configuration, and must reproduce the recorded distance bit-for-bit
 (:func:`verify_bundle`, surfaced as ``repro explain --verify``).  That
-replay contract is what future kernel backends and incremental-DTW
-variants are diffed against.
+replay contract is what every kernel backend is diffed against.
 
 Everything is **off by default**: :func:`default_audit_log` returns
 ``None`` until :func:`start_default` installs a log, and the detector's
@@ -588,9 +587,10 @@ def replay_pair(bundle: Dict[str, Any], a: str, b: str) -> float:
 
 #: Provenance tags whose recorded distance is an exact kernel result
 #: and therefore carries the bit-replay obligation.  ``incremental-carry``
-#: records re-report the previous period's exact distance for a window
-#: that did not change, so replaying the recorded window reproduces it
-#: bit for bit just like a fresh ``exact`` record.
+#: records (written by the retired incremental engine) re-report the
+#: previous period's exact distance for a window that did not change,
+#: so replaying the recorded window reproduces it bit for bit just like
+#: a fresh ``exact`` record.
 _REPLAYABLE_PROVENANCE = ("exact", "incremental-carry")
 
 

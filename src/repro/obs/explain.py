@@ -223,7 +223,7 @@ def render_pair_report(
         )
         if "window_b64" in series:
             lines.append(f"          {sparkline(normalised_window(bundle, identity))}")
-    if provenance in ("exact", "cache-hit"):
+    if provenance in ("exact", "cache-hit", "incremental-carry"):
         lines.extend(_dtw_section(bundle, record))
     else:
         lines.append(

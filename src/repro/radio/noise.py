@@ -66,6 +66,14 @@ def _smoothstep(t: float) -> float:
     return t * t * (3.0 - 2.0 * t)
 
 
+#: Lattice-cube corner offsets ``(di, dj, dk)`` in the scalar
+#: interpolation's summation order.
+_CORNERS = np.array(
+    [(di, dj, dk) for di in (0, 1) for dj in (0, 1) for dk in (0, 1)],
+    dtype=np.int64,
+)
+
+
 def _splitmix64_np(state: np.ndarray) -> np.ndarray:
     """Vectorised SplitMix64 over a uint64 array (wrapping arithmetic)."""
     with np.errstate(over="ignore"):
@@ -168,14 +176,19 @@ class ValueNoise3D:
         wx = wx * wx * (3.0 - 2.0 * wx)
         wy = wy * wy * (3.0 - 2.0 * wy)
         wt = wt * wt * (3.0 - 2.0 * wt)
+        # All eight cube corners hash in one call over a stacked
+        # (8, ...) lattice; the sum then runs in the scalar path's
+        # corner order, so the result stays bit-identical to it.
+        offsets = _CORNERS.reshape((8, 3) + (1,) * fx.ndim)
+        lattice = _cell_gaussian_np(
+            self.seed, i0 + offsets[:, 0], j0 + offsets[:, 1], k0 + offsets[:, 2]
+        )
+        weights_x = (1.0 - wx, wx)
+        weights_y = (1.0 - wy, wy)
+        weights_t = (1.0 - wt, wt)
         total = np.zeros_like(fx)
-        for di, wi in ((0, 1.0 - wx), (1, wx)):
-            for dj, wj in ((0, 1.0 - wy), (1, wy)):
-                for dk, wk in ((0, 1.0 - wt), (1, wt)):
-                    lattice = _cell_gaussian_np(
-                        self.seed, i0 + di, j0 + dj, k0 + dk
-                    )
-                    total += wi * wj * wk * lattice
+        for corner, (di, dj, dk) in enumerate(_CORNERS.tolist()):
+            total += weights_x[di] * weights_y[dj] * weights_t[dk] * lattice[corner]
         return total
 
 

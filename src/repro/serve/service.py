@@ -71,10 +71,10 @@ _log = get_logger("serve.service")
 
 
 def _default_detector_config() -> DetectorConfig:
-    # The service is the long-run deployment target, so it defaults to
-    # the incremental engine (PR 7): per-period cost scales with new
-    # beacons, not window size.
-    return DetectorConfig(pairwise_engine=True, pairwise_incremental=True)
+    # The exact engine: one ragged native DTW call per detection.  It
+    # out-runs every bound/carry shortcut on the service's rechecks, and
+    # its reports carry true distances.
+    return DetectorConfig(pairwise_engine=True)
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class ServiceConfig:
             beacon, count it in ``serve.beacons_shed``).
         max_range_m: Eq. 9 density denominator for every pipeline.
         detector_config: Comparison-phase tunables (default: the
-            incremental pairwise engine).
+            exact pairwise engine).
         pipeline_config: Scheduling/confirmation parameters shared by
             all per-observer pipelines.
         poll_interval_s: Sleep between :meth:`DetectionService.flush`

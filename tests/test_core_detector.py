@@ -289,22 +289,24 @@ class TestStaleIdentitySweep:
         assert len(series) > 0
 
     def test_sweep_drops_incremental_engine_state(self):
-        config = DetectorConfig(
-            observation_time=20.0,
-            min_samples=2,
-            pairwise_engine=True,
-            pairwise_incremental=True,
-        )
+        # The retired incremental engine kept per-identity state beside
+        # the buffers.  The deprecated flag now selects the exact
+        # engine, which keeps none, so the sweep bounds everything.
+        with pytest.warns(DeprecationWarning):
+            config = DetectorConfig(
+                observation_time=20.0,
+                min_samples=2,
+                pairwise_engine=True,
+                pairwise_incremental=True,
+            )
         detector = VoiceprintDetector(config=config)
         for i in range(3_000):
             detector.observe(f"car{i}", i * 0.1, -70.0)
-        # The engine's per-identity envelope table must not retain the
-        # swept tail either (that's the other half of the leak).
+        assert len(detector.heard_identities) <= 600
         engine = detector._engine
         assert engine is not None
-        tracked = getattr(engine, "_inc_series", None)
-        if tracked is not None:
-            assert len(tracked) <= len(detector.heard_identities) + 1
+        assert not hasattr(engine, "_identity_states")
+        assert not hasattr(engine, "_pair_states")
 
     def test_reset_rearms_the_sweep_schedule(self):
         config = DetectorConfig(observation_time=20.0, min_samples=2)

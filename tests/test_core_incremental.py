@@ -1,180 +1,53 @@
-"""Tests for incremental detection — streaming stats, carries, abandons.
+"""What remains of the retired incremental engine.
 
-Covers the O(new-beacons) machinery end to end:
+The incremental engine (persistent envelopes, carried verdicts,
+early-abandon DTW) lost to the exact engine on every benchmark once the
+exact kernel ran as one native call per detection, and was removed.
+Three things outlive it, and this module covers them:
 
-* :class:`repro.core.normalization.RunningStats` /
-  :class:`StreamingWindowStats` — property-tested against batch
-  ``np.mean``/``np.std`` over the same window, plus the *exact*
-  ``divisor() == 0.0`` constant-window sentinel the audit schema
-  relies on;
-* :meth:`PairwiseEngine.compare_incremental` — flag sets byte-identical
-  to the exact pairwise loop on sliding-window recheck sequences (both
-  threshold modes, a spread of cutoffs), carried verdicts with
-  ``incremental-carry`` provenance, envelope slide-vs-rebuild
-  bit-identity, batched bound bit-identity, and the state-hygiene
-  guarantees (disjoint windows take the fully exact path, eviction
-  bounds hold, ``drop_identity``/``clear_incremental``/``reset`` leave
-  no stale carries);
-* the detector / experiment / CLI / audit plumbing: sliding
-  ``detect()`` flags match exact mode, disjoint periods reproduce
-  exact reports byte for byte (the fig11a grid, serial and under
-  ``eval.parallel``), ``--pairwise-incremental`` reaches the engine
-  defaults, and ``incremental-carry`` audit records replay
-  bit-identically.
+* ``DetectorConfig.pairwise_incremental`` — a deprecated no-op: setting
+  it warns, and detection runs the exact engine, so sliding rechecks,
+  disjoint periods and the fig11a grid (serial and under
+  ``eval.parallel``) report exactly what a plain exact detector does;
+* ``PairwiseEngine.compare_incremental`` — a stub that raises, kept so
+  external tracers that resolve the name keep working;
+* audit bundles it recorded — ``data/audit_incremental_engine.jsonl``
+  holds two detections recorded with ``--pairwise-incremental on``
+  (``fig14 --duration 76 --period 0.05``) before the engine was
+  removed.  Their ``exact`` and ``incremental-carry`` records must
+  still replay bit-identically through ``repro explain --verify``;
+  ``early-abandon`` and ``pruned-lower`` surrogates are skipped.
 """
 
-import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.detector import DetectorConfig, VoiceprintDetector
-from repro.core.fastdtw import dtw_banded_fast
-from repro.core.normalization import (
-    RunningStats,
-    StreamingWindowStats,
-    minmax_distances,
-)
 from repro.core.pairwise import (
+    PROV_ABANDON,
+    PROV_EXACT,
     PROV_INCREMENTAL,
     PairwiseEngine,
-    dtw_band_upper_bound,
-    get_engine_defaults,
     set_engine_defaults,
 )
 from repro.core.thresholds import ConstantThreshold
 from repro.obs.metrics import MetricsRegistry
 
-_values = st.lists(
-    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
-    min_size=1,
-    max_size=60,
-)
+_LEGACY_AUDIT = Path(__file__).parent / "data" / "audit_incremental_engine.jsonl"
 
 
 def _registry():
     return MetricsRegistry(enabled=True)
 
 
-def _assert_stats_match(stats, window):
-    """Streaming accumulators agree with the batch reduction.
-
-    Tolerances follow the class contract: different float summation
-    orders agree to accumulation error, scaled by the window's
-    magnitude (cancellation after removals is the worst case).
-    """
-    scale = float(np.max(np.abs(window))) if len(window) else 0.0
-    assert stats.count == len(window)
-    assert stats.mean == pytest.approx(
-        float(np.mean(window)), rel=1e-9, abs=1e-9 * (1.0 + scale)
-    )
-    assert stats.variance == pytest.approx(
-        float(np.var(window)), rel=1e-6, abs=1e-6 * (1.0 + scale * scale)
-    )
+def _legacy_config(**kwargs):
+    with pytest.warns(DeprecationWarning, match="pairwise_incremental"):
+        return DetectorConfig(pairwise_incremental=True, **kwargs)
 
 
-class TestRunningStats:
-    @given(values=_values)
-    @settings(max_examples=100, deadline=None)
-    def test_add_only_matches_batch(self, values):
-        stats = RunningStats()
-        for value in values:
-            stats.add(value)
-        _assert_stats_match(stats, values)
-
-    @given(values=_values, window=st.integers(1, 20))
-    @settings(max_examples=100, deadline=None)
-    def test_sliding_window_matches_batch(self, values, window):
-        stats = RunningStats()
-        for index, value in enumerate(values):
-            stats.add(value)
-            if index >= window:
-                stats.remove(values[index - window])
-            _assert_stats_match(stats, values[max(0, index - window + 1) : index + 1])
-
-    @given(value=st.floats(-1e6, 1e6, allow_nan=False), count=st.integers(1, 30))
-    @settings(max_examples=60, deadline=None)
-    def test_constant_window_sentinel_is_exact(self, value, count):
-        # The audit schema's divisor == 0.0 convention requires *exact*
-        # zeros for constant windows, not near-zeros.
-        stats = RunningStats()
-        for _ in range(count):
-            stats.add(value)
-        assert stats.m2 == 0.0
-        assert stats.std() == 0.0
-        assert stats.divisor() == 0.0
-
-    def test_emptied_window_resets_exactly(self):
-        stats = RunningStats()
-        for value in (3.7, -1.2, 9.9):
-            stats.add(value)
-        for value in (3.7, -1.2, 9.9):
-            stats.remove(value)
-        assert (stats.count, stats.mean, stats.m2) == (0, 0.0, 0.0)
-        # Refilling with a constant after arbitrary history stays exact.
-        stats.add(5.0)
-        stats.add(5.0)
-        assert stats.divisor() == 0.0
-
-    def test_remove_from_empty_raises(self):
-        with pytest.raises(ValueError):
-            RunningStats().remove(1.0)
-
-    def test_divisor_scales_by_sigma_multiplier(self):
-        stats = RunningStats()
-        for value in (0.0, 2.0):
-            stats.add(value)
-        assert stats.divisor(sigma_multiplier=3.0) == 3.0 * stats.std()
-        assert stats.divisor(sigma_multiplier=1.0) == stats.std()
-
-
-class TestStreamingWindowStats:
-    @given(
-        values=st.lists(
-            st.floats(-500.0, 500.0, allow_nan=False), min_size=1, max_size=50
-        ),
-        window_s=st.floats(0.5, 5.0),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_push_advance_matches_batch(self, values, window_s):
-        times = np.arange(len(values)) * 0.1
-        stream = StreamingWindowStats()
-        for timestamp, value in zip(times, values):
-            stream.push(float(timestamp), value)
-            stream.advance(timestamp - window_s)
-            window = [
-                v for t, v in zip(times, values) if timestamp - window_s <= t <= timestamp
-            ]
-            assert stream.count == len(window)
-            _assert_stats_match(stream._stats, window)
-
-    def test_rejects_decreasing_timestamps(self):
-        stream = StreamingWindowStats()
-        stream.push(1.0, -70.0)
-        with pytest.raises(ValueError):
-            stream.push(0.5, -71.0)
-
-    def test_advance_returns_dropped_count_and_empties_exactly(self):
-        stream = StreamingWindowStats()
-        for index in range(5):
-            stream.push(float(index), float(index))
-        assert stream.advance(3.0) == 3
-        assert stream.count == 2
-        assert stream.advance(100.0) == 2
-        assert (stream.count, stream.mean, stream.std()) == (0, 0.0, 0.0)
-
-    def test_constant_window_divisor_sentinel(self):
-        stream = StreamingWindowStats()
-        for index in range(10):
-            stream.push(float(index), -70.0)
-        assert stream.divisor() == 0.0
-
-
-# ----------------------------------------------------------------------
-# compare_incremental — engine-level contract
-# ----------------------------------------------------------------------
 def _sliding_scenario(rng, n_samples=400, rate_hz=10.0):
     """Long beacon streams: one attacker trio + independent vehicles."""
     t = np.arange(n_samples) / rate_hz
@@ -195,272 +68,30 @@ def _sliding_scenario(rng, n_samples=400, rate_hz=10.0):
     return t, streams
 
 
-def _window_inputs(t, streams, start, end):
-    """Build compare_incremental inputs for the window [start, end]."""
-    mask = (t >= start) & (t <= end)
-    arrays, raw, times, keys, params = {}, {}, {}, {}, {}
-    for ident, values in streams.items():
-        window = np.ascontiguousarray(values[mask])
-        mean = float(np.mean(window))
-        sigma = float(np.std(window))
-        divisor = 0.0 if sigma < 1e-12 else 3.0 * sigma
-        arrays[ident] = (
-            np.zeros_like(window) if divisor == 0.0 else (window - mean) / divisor
-        )
-        raw[ident] = window
-        times[ident] = np.ascontiguousarray(t[mask])
-        keys[ident] = window.tobytes()
-        params[ident] = (mean, divisor)
-    return arrays, raw, times, keys, params
-
-
-def _naive_reference(arrays, cutoff, threshold_on, radius=10):
-    """Exact distances + flags the incremental engine must reproduce."""
-    ids = sorted(arrays)
-    distances = {}
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            result = dtw_banded_fast(arrays[a], arrays[b], radius)
-            distances[(a, b)] = result.distance / len(result.path)
-    judged = (
-        minmax_distances(distances) if threshold_on == "normalized" else distances
-    )
-    return distances, {pair: value <= cutoff for pair, value in judged.items()}
-
-
-def _incremental_engine(**kwargs):
-    kwargs.setdefault("band_radius", 10)
-    kwargs.setdefault("incremental", True)
-    kwargs.setdefault("cache_size", 64)
-    kwargs.setdefault("registry", _registry())
-    return PairwiseEngine(**kwargs)
-
-
-class TestCompareIncremental:
-    def test_requires_incremental_banded_mode(self):
-        plain = PairwiseEngine(band_radius=10, registry=_registry())
-        assert not plain.can_incremental
-        with pytest.raises(RuntimeError):
-            plain.compare_incremental({}, {}, {}, {}, "", {}, 0.1, "normalized")
-        fastdtw_mode = PairwiseEngine(
-            band_radius=None, incremental=True, registry=_registry()
-        )
-        assert not fastdtw_mode.can_incremental
-
-    @pytest.mark.parametrize("threshold_on", ["normalized", "raw"])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_sliding_flags_identical_to_exact(self, threshold_on, seed):
-        rng = np.random.default_rng(seed)
-        t, streams = _sliding_scenario(rng)
-        engine = _incremental_engine()
-        cutoffs = (
-            [0.02, 0.1, 0.5] if threshold_on == "normalized" else [0.001, 0.01, 0.1]
-        )
-        cutoff = cutoffs[seed % len(cutoffs)]
-        # A 20 s window sliding by 1 s per recheck — the incremental
-        # fast paths (carries, bounds, early abandons) all engage, and
-        # every step's flag set must equal the exact loop's.
-        for end in np.arange(20.0, 32.0, 1.0):
-            arrays, raw, times, keys, params = _window_inputs(
-                t, streams, end - 20.0, end
-            )
-            _, flags, stats = engine.compare_incremental(
-                arrays, raw, times, keys, "scale", params, cutoff, threshold_on
-            )
-            _, want = _naive_reference(arrays, cutoff, threshold_on)
-            assert flags == want, f"diverged at window end {end}"
-        cumulative = engine.stats
-        assert cumulative.envelope_updates > 0  # the slides actually slid
-
-    @pytest.mark.parametrize("threshold_on", ["normalized", "raw"])
-    def test_every_cutoff_band_matches_exact(self, threshold_on):
-        # One slid window, cutoffs swept across the whole decision
-        # range (fresh engine per cutoff so carries don't leak flags).
-        rng = np.random.default_rng(7)
-        t, streams = _sliding_scenario(rng)
-        first = _window_inputs(t, streams, 0.0, 20.0)
-        second = _window_inputs(t, streams, 2.0, 22.0)
-        raw_ref, _ = _naive_reference(second[0], 0.0, threshold_on)
-        values = sorted(raw_ref.values())
-        cutoffs = (
-            [-0.5, 0.0, 0.05, 0.3, 0.7, 1.0, 2.0]
-            if threshold_on == "normalized"
-            else [0.0, values[0], values[len(values) // 2], values[-1] * 2.0]
-        )
-        for cutoff in cutoffs:
-            engine = _incremental_engine(cache_size=0)
-            for arrays, raw, times, keys, params in (first, second):
-                _, flags, _ = engine.compare_incremental(
-                    arrays, raw, times, keys, "s", params, cutoff, threshold_on
-                )
-                _, want = _naive_reference(arrays, cutoff, threshold_on)
-                assert flags == want, f"cutoff {cutoff} diverged"
-
-    def test_unchanged_windows_carry_with_provenance(self):
-        rng = np.random.default_rng(3)
-        t, streams = _sliding_scenario(rng)
-        engine = _incremental_engine(cache_size=0)
-        inputs = _window_inputs(t, streams, 0.0, 20.0)
-        distances1, flags1, stats1 = engine.compare_incremental(
-            *inputs[:2], inputs[2], inputs[3], "s", inputs[4], 0.1, "normalized"
-        )
-        assert stats1.incremental == 0
-        engine.record_provenance = True
-        distances2, flags2, stats2 = engine.compare_incremental(
-            *inputs[:2], inputs[2], inputs[3], "s", inputs[4], 0.1, "normalized"
-        )
-        # Every pair carries: same distances (bit-identical), no kernel
-        # work, and incremental-carry provenance throughout.
-        assert distances2 == distances1
-        assert flags2 == flags1
-        assert stats2.incremental == stats2.pairs
-        assert stats2.exact == stats2.abandoned == stats2.cells == 0
-        assert engine.last_provenance is not None
-        assert {
-            record["tag"] for record in engine.last_provenance.values()
-        } == {PROV_INCREMENTAL}
-
-    def test_scale_tag_change_invalidates_carries(self):
-        rng = np.random.default_rng(4)
-        t, streams = _sliding_scenario(rng)
-        engine = _incremental_engine(cache_size=0)
-        inputs = _window_inputs(t, streams, 0.0, 20.0)
-        engine.compare_incremental(
-            *inputs[:2], inputs[2], inputs[3], "scale-A", inputs[4], 0.1, "normalized"
-        )
-        _, _, stats = engine.compare_incremental(
-            *inputs[:2], inputs[2], inputs[3], "scale-B", inputs[4], 0.1, "normalized"
-        )
-        assert stats.incremental == 0
-
-    def test_slid_envelopes_bit_identical_to_rebuild(self):
-        rng = np.random.default_rng(5)
-        t, streams = _sliding_scenario(rng)
-        engine = _incremental_engine()
-        for start in (0.0, 1.0, 2.5):
-            arrays, raw, times, keys, params = _window_inputs(
-                t, streams, start, start + 20.0
-            )
-            _, _, stats = engine.compare_incremental(
-                arrays, raw, times, keys, "s", params, 0.1, "normalized"
-            )
-            width = 2 * 10 + 1
-            from numpy.lib.stride_tricks import sliding_window_view
-
-            for ident, window in raw.items():
-                state = engine._identity_states[ident]
-                windows = sliding_window_view(window, width)
-                assert np.array_equal(state.env_lo, windows.min(axis=1))
-                assert np.array_equal(state.env_hi, windows.max(axis=1))
-        assert engine.stats.envelope_updates > 0
-
-    def test_disjoint_windows_reproduce_exact_distances(self):
-        # Consecutive windows with no timestamp overlap (the fig11a
-        # grid shape): every pair must take the fully exact path, so
-        # the reported distances — not just the flags — are
-        # byte-identical to the naive loop.
-        rng = np.random.default_rng(6)
-        t, streams = _sliding_scenario(rng, n_samples=450)
-        engine = _incremental_engine(cache_size=0)
-        for start in (0.0, 21.0, 42.0):
-            arrays, raw, times, keys, params = _window_inputs(
-                t, streams, start, start + 20.0
-            )
-            distances, flags, stats = engine.compare_incremental(
-                arrays, raw, times, keys, "s", params, 0.1, "normalized"
-            )
-            want_distances, want_flags = _naive_reference(arrays, 0.1, "normalized")
-            assert distances == want_distances
-            assert flags == want_flags
-            assert stats.abandoned == stats.pruned == 0
-
-    def test_degenerate_identical_series(self):
-        base = np.sin(np.linspace(0.0, 6.0, 120))
-        t = np.arange(120) * 0.1
-        streams = {k: base.copy() for k in "abc"}
-        engine = _incremental_engine()
-        arrays, raw, times, keys, params = _window_inputs(t, streams, 0.0, 12.0)
-        for _ in range(2):  # second call exercises the carry path too
-            _, flags, _ = engine.compare_incremental(
-                arrays, raw, times, keys, "s", params, 0.0, "normalized"
-            )
-            assert all(flags.values())  # min-max degenerates to all-zero
-
-    def test_batched_bounds_bit_identical_to_scalar(self):
-        from numpy.lib.stride_tricks import sliding_window_view
-
-        rng = np.random.default_rng(8)
-        radius, width = 10, 21
-        ids = [f"id{i}" for i in range(6)]
-        arrays = {ident: rng.normal(size=150) for ident in ids}
-        norm_env = {}
-        for ident, values in arrays.items():
-            windows = sliding_window_view(values, width)
-            norm_env[ident] = (windows.min(axis=1), windows.max(axis=1))
-        pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
-        engine = _incremental_engine()
-        bounds = {}
-        engine._compute_bounds(pairs, arrays, norm_env, radius, bounds)
-        for pair in pairs:
-            a, b = pair
-            n, m = arrays[a].size, arrays[b].size
-            lower = engine._incremental_lower_bound(
-                arrays[a], arrays[b], norm_env[a], norm_env[b], radius
-            )
-            upper_cost, _len = dtw_band_upper_bound(arrays[a], arrays[b], radius)
-            assert bounds[pair].lower == lower / (n + m - 1)
-            assert bounds[pair].upper == upper_cost / max(n, m)
-            # Sanity: the sandwich really brackets the pair's distance.
-            result = dtw_banded_fast(arrays[a], arrays[b], radius)
-            distance = result.distance / len(result.path)
-            assert bounds[pair].lower <= distance <= bounds[pair].upper + 1e-12
-
-    def test_drop_identity_forgets_all_touching_state(self):
-        rng = np.random.default_rng(9)
-        t, streams = _sliding_scenario(rng)
-        engine = _incremental_engine()
-        inputs = _window_inputs(t, streams, 0.0, 20.0)
-        engine.compare_incremental(
-            *inputs[:2], inputs[2], inputs[3], "s", inputs[4], 0.1, "normalized"
-        )
-        assert engine.incremental_state_len > 0
-        engine.drop_identity("mal")
-        assert "mal" not in engine._identity_states
-        assert all("mal" not in pair for pair in engine._pair_states)
-        engine.clear_incremental()
-        assert engine.incremental_state_len == 0
-        assert len(engine._identity_states) == 0
-
-    def test_state_stores_respect_eviction_bounds(self):
-        rng = np.random.default_rng(10)
-        engine = _incremental_engine()
-        engine.MAX_PAIR_STATES = 5
-        engine.MAX_IDENTITY_STATES = 3
-        t = np.arange(120) * 0.1
-        streams = {f"id{i}": rng.normal(size=120) - 70.0 for i in range(6)}
-        arrays, raw, times, keys, params = _window_inputs(t, streams, 0.0, 12.0)
-        engine.compare_incremental(
-            arrays, raw, times, keys, "s", params, 0.1, "normalized"
-        )
-        assert engine.incremental_state_len <= 5
-        assert len(engine._identity_states) <= 3
-
-
-# ----------------------------------------------------------------------
-# Detector / experiment / CLI / audit plumbing
-# ----------------------------------------------------------------------
 def _feed(detector, t, streams):
     for name, values in streams.items():
         for timestamp, value in zip(t, values):
             detector.observe(name, float(timestamp), float(value))
 
 
-def _detector(threshold=0.1, registry=None, **config_kwargs):
+def _detector(config, threshold=0.1):
     return VoiceprintDetector(
         threshold=ConstantThreshold(threshold),
-        config=DetectorConfig(**config_kwargs),
-        registry=registry or _registry(),
+        config=config,
+        registry=_registry(),
     )
+
+
+class TestCompareIncremental:
+    def test_requires_incremental_banded_mode(self):
+        # No engine offers incremental mode any more, so the retired
+        # entry point raises on every engine, banded or FastDTW.
+        for radius in (10, None):
+            engine = PairwiseEngine(band_radius=radius, registry=_registry())
+            with pytest.raises(RuntimeError, match="retired"):
+                engine.compare_incremental({}, {}, {}, {}, "", {}, 0.1, "normalized")
+        # The name stays resolvable through the class dict.
+        assert "compare_incremental" in PairwiseEngine.__dict__
 
 
 class TestDetectorIncremental:
@@ -470,84 +101,51 @@ class TestDetectorIncremental:
         t, streams = _sliding_scenario(rng)
         threshold = 0.1 if threshold_on == "normalized" else 0.01
         exact = _detector(
-            threshold, pairwise_engine=True, threshold_on=threshold_on
-        )
-        incremental = _detector(
+            DetectorConfig(pairwise_engine=True, threshold_on=threshold_on),
             threshold,
-            pairwise_engine=True,
-            pairwise_incremental=True,
-            threshold_on=threshold_on,
+        )
+        legacy = _detector(
+            _legacy_config(pairwise_engine=True, threshold_on=threshold_on),
+            threshold,
         )
         _feed(exact, t, streams)
-        _feed(incremental, t, streams)
+        _feed(legacy, t, streams)
         for now in np.arange(20.0, 32.0, 1.0):
             want = exact.detect(density=40.0, now=float(now))
-            got = incremental.detect(density=40.0, now=float(now))
-            assert got.sybil_pairs == want.sybil_pairs
-            assert got.sybil_ids == want.sybil_ids
+            got = legacy.detect(density=40.0, now=float(now))
+            assert got == want
+        stats = legacy.pairwise_stats
+        assert stats is not None and stats.pairs > 0
+        assert stats.incremental == stats.abandoned == stats.envelope_updates == 0
 
     def test_disjoint_periods_report_bit_identical(self):
-        # observation_time == detection spacing: every period's window
-        # is fresh, so incremental mode must reproduce the exact
-        # report byte for byte — distances and margins included.
         rng = np.random.default_rng(42)
         t, streams = _sliding_scenario(rng, n_samples=450)
-        kwargs = {"observation_time": 10.0}
-        exact = _detector(pairwise_engine=True, **kwargs)
-        incremental = _detector(
-            pairwise_engine=True, pairwise_incremental=True, **kwargs
+        exact = _detector(DetectorConfig(pairwise_engine=True, observation_time=10.0))
+        legacy = _detector(
+            _legacy_config(pairwise_engine=True, observation_time=10.0)
         )
         _feed(exact, t, streams)
-        _feed(incremental, t, streams)
+        _feed(legacy, t, streams)
         for now in (10.0, 20.5, 31.0, 41.5):
             want = exact.detect(density=40.0, now=now)
-            got = incremental.detect(density=40.0, now=now)
+            got = legacy.detect(density=40.0, now=now)
             assert got.raw_distances == want.raw_distances
             assert got.distances == want.distances
             assert got.sybil_pairs == want.sybil_pairs
 
-    def test_incremental_counters_reach_registry(self):
-        rng = np.random.default_rng(43)
-        t, streams = _sliding_scenario(rng)
-        registry = _registry()
-        detector = _detector(
-            registry=registry, pairwise_engine=True, pairwise_incremental=True
-        )
-        _feed(detector, t, streams)
-        detector.detect(density=40.0, now=20.0)
-        detector.detect(density=40.0, now=20.0)  # unchanged → carries
-        detector.detect(density=40.0, now=22.0)  # slid → envelope updates
-        assert registry.counter("detector.pairs_incremental").value > 0
-        assert registry.counter("detector.envelope_updates").value > 0
-
-    def test_reset_clears_incremental_state(self):
-        rng = np.random.default_rng(44)
-        t, streams = _sliding_scenario(rng)
-        detector = _detector(pairwise_engine=True, pairwise_incremental=True)
-        _feed(detector, t, streams)
-        detector.detect(density=40.0, now=20.0)
-        engine = detector._engine
-        assert engine is not None and engine.incremental_state_len > 0
-        detector.reset()
-        assert engine.incremental_state_len == 0
-        assert len(engine._identity_states) == 0
-
     def test_config_and_defaults_plumbing(self):
-        explicit = _detector(pairwise_engine=True, pairwise_incremental=True)
-        assert explicit._engine is not None and explicit._engine.can_incremental
-        off = _detector(pairwise_engine=True, pairwise_incremental=False)
-        assert off._engine is not None and not off._engine.can_incremental
-        previous = set_engine_defaults(incremental=True)
-        try:
-            inherited = _detector(pairwise_engine=True)
-            assert inherited._engine is not None
-            assert inherited._engine.can_incremental
-        finally:
-            set_engine_defaults(incremental=previous.incremental)
+        with pytest.warns(DeprecationWarning):
+            DetectorConfig(pairwise_incremental=False)
+        detector = _detector(_legacy_config(pairwise_engine=True))
+        assert detector._engine is not None
+        assert not hasattr(detector._engine, "can_incremental")
+        with pytest.raises(TypeError):
+            set_engine_defaults(incremental=True)
 
 
 class TestFig11aGridIdentity:
-    """Incremental vs exact over the fig11a grid, serial and parallel."""
+    """The deprecated flag over the fig11a grid, serial and parallel."""
 
     @staticmethod
     def _rows(detector_config, workers=None):
@@ -569,68 +167,63 @@ class TestFig11aGridIdentity:
 
     def test_serial_rows_identical(self):
         want = self._rows(DetectorConfig(pairwise_engine=True))
-        got = self._rows(
-            DetectorConfig(pairwise_engine=True, pairwise_incremental=True)
-        )
-        # Dataclass equality covers DR/FPR floats: the grid's rates —
-        # and hence every per-period verdict behind them — match the
-        # exact engine bit for bit.
+        got = self._rows(_legacy_config(pairwise_engine=True))
+        # Dataclass equality covers DR/FPR floats.
         assert got == want
 
     def test_parallel_rows_identical_to_serial(self):
-        config = DetectorConfig(pairwise_engine=True, pairwise_incremental=True)
+        config = _legacy_config(pairwise_engine=True)
         serial = self._rows(config)
         parallel = self._rows(config, workers=2)
         assert parallel == serial
 
 
 class TestCliIncrementalFlag:
-    def test_parser_accepts_on_off(self):
+    def test_flag_removed(self):
         from repro.cli import build_parser
 
-        parser = build_parser()
-        assert parser.parse_args(
-            ["--pairwise-incremental", "on", "list"]
-        ).pairwise_incremental == "on"
-        assert parser.parse_args(
-            ["--pairwise-incremental", "off", "list"]
-        ).pairwise_incremental == "off"
         with pytest.raises(SystemExit):
-            parser.parse_args(["--pairwise-incremental", "maybe", "list"])
-
-    def test_flag_reaches_engine_defaults_and_restores(self, monkeypatch):
-        from repro import cli
-
-        seen = {}
-
-        def probe(args):
-            seen["incremental"] = get_engine_defaults().incremental
-            return "ok"
-
-        monkeypatch.setitem(cli._HANDLERS, "list", probe)
-        before = get_engine_defaults().incremental
-        assert cli.main(["--pairwise-incremental", "on", "list"]) == 0
-        assert seen["incremental"] is True
-        assert get_engine_defaults().incremental == before  # restored
+            build_parser().parse_args(["--pairwise-incremental", "on", "list"])
 
 
 class TestAuditIncrementalCarry:
     def test_carry_records_replay_bit_identically(self):
-        from repro.obs.audit import start_default, stop_default, verify_bundle
-        from tests.test_obs_audit import make_detector
+        from repro.obs.audit import load_audit_log, verify_bundle
 
-        start_default()
-        try:
-            detector = make_detector(pairwise_incremental=True)
-            detector.detect(density=40.0, now=20.0)
-            detector.detect(density=40.0, now=20.0)  # unchanged → carries
-        finally:
-            log = stop_default()
-        first, second = log.bundles
-        assert all(r["status"] == "ok" for r in verify_bundle(first))
-        carried = verify_bundle(second)
-        assert carried
-        # Carried verdicts keep the exact kernel triple, so they stay
-        # under the bit-replay obligation — and meet it.
-        assert {r["provenance"] for r in carried} == {PROV_INCREMENTAL}
-        assert all(r["status"] == "ok" for r in carried)
+        bundles = load_audit_log(str(_LEGACY_AUDIT))
+        tags = Counter(
+            record["provenance"] for bundle in bundles for record in bundle["pairs"]
+        )
+        assert {PROV_EXACT, PROV_INCREMENTAL, PROV_ABANDON} <= set(tags)
+        results = [row for bundle in bundles for row in verify_bundle(bundle)]
+        replayed = Counter(
+            row["provenance"] for row in results if row["status"] == "ok"
+        )
+        # Carries kept the exact kernel triple, so they stay under the
+        # bit-replay obligation and meet it; surrogates are skipped.
+        assert replayed == Counter(
+            {PROV_EXACT: tags[PROV_EXACT], PROV_INCREMENTAL: tags[PROV_INCREMENTAL]}
+        )
+        assert all(
+            row["status"] == "skipped"
+            for row in results
+            if row["provenance"] not in (PROV_EXACT, PROV_INCREMENTAL)
+        )
+
+    def test_explain_verify_passes(self, capsys):
+        from repro.cli import main
+
+        assert main(["explain", str(_LEGACY_AUDIT), "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert "all bit-identical" in out
+        assert "early-abandon" in out  # reported as skipped
+
+    def test_explain_decomposes_a_carried_pair(self, capsys):
+        from repro.cli import main
+
+        spec = "1,102"  # carried in both recorded detections
+        assert main(["explain", str(_LEGACY_AUDIT), "--pair", spec]) == 0
+        out = capsys.readouterr().out
+        assert "prov    : incremental-carry" in out
+        assert "dtw     : path_len=" in out
+        assert "decided from bounds" not in out

@@ -15,6 +15,8 @@ import contextlib
 import dataclasses
 import math
 import os
+import subprocess
+import tempfile
 
 import numpy as np
 import pytest
@@ -74,11 +76,31 @@ class TestGating:
     def test_warmup_reports_availability(self):
         assert native.warmup() == native.native_available()
 
+    @needs_native
+    def test_compile_leaves_only_the_library(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        assert native._compile() is not None
+        assert [p.name for p in tmp_path.iterdir()] == [
+            f"repro-native-{native._source_tag()}.so"
+        ]
+
+    def test_failed_compile_leaves_nothing(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+
+        def broken_cc(*args, **kwargs):
+            raise subprocess.CalledProcessError(1, args[0])
+
+        monkeypatch.setattr(native.subprocess, "run", broken_cc)
+        assert native._compile() is None
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "kwargs,warmed",
         [
             ({"band_radius": 10}, True),
-            ({"band_radius": 10, "incremental": True}, True),
+            ({"band_radius": 10, "pruning": True}, True),
             ({"band_radius": None}, False),
             ({"band_radius": 10, "use_exact_dtw": True}, False),
         ],
@@ -338,36 +360,30 @@ def _numpy_backend():
 
 def _periods(seed, lengths, shift):
     """Two overlapping detection periods of ragged per-identity windows
-    (the second slid by ``shift`` samples), in the engine's input form."""
+    (the second slid by ``shift`` samples): identity -> normalised
+    window, per period."""
     rng = np.random.default_rng(seed)
     longest = max(lengths) + shift
     base = np.cumsum(rng.normal(size=longest))
-    periods = [dict(arrays={}, raw={}, times={}, keys={}, params={}) for _ in (0, 1)]
+    periods = [{}, {}]
     for index, size in enumerate(lengths):
         noise = 0.1 if index < 2 else 3.0
         full = base + rng.normal(scale=noise, size=longest) * (1 + index)
-        stamps = np.arange(longest) * 0.1
         for period, start in zip(periods, (0, shift)):
             values = full[start : start + size]
-            ident = f"id{index}"
-            mean = float(values.mean())
             divisor = float(values.std())
-            if divisor < 1e-9:
-                divisor = 0.0
-                period["arrays"][ident] = np.zeros_like(values)
-            else:
-                period["arrays"][ident] = (values - mean) / divisor
-            period["raw"][ident] = values
-            period["times"][ident] = stamps[start : start + size]
-            period["keys"][ident] = values.tobytes()
-            period["params"][ident] = (mean, divisor)
+            period[f"id{index}"] = (
+                (values - float(values.mean())) / divisor
+                if divisor >= 1e-9
+                else np.zeros_like(values)
+            )
     return periods
 
 
 def _engine_outputs(periods, radius, cutoff, threshold_on, thresholds_scale):
-    """Everything the three engine entry points report, plus raw triples."""
+    """Everything the engine entry points report, plus raw triples."""
     out = []
-    first = periods[0]["arrays"]
+    first = periods[0]
     ids = sorted(first)
     xs = [first[a] for i, a in enumerate(ids) for _ in ids[i + 1 :]]
     ys = [first[b] for i, _ in enumerate(ids) for b in ids[i + 1 :]]
@@ -383,26 +399,20 @@ def _engine_outputs(periods, radius, cutoff, threshold_on, thresholds_scale):
     if thresholds_scale != _INF:
         thresholds = np.asarray([t[0] for t in exact]) * thresholds_scale
     out.append(dtw_banded_batch_abandon(xs, ys, radius, thresholds))
-    distances, stats = engine().compare(first)
-    out.append((distances, dataclasses.astuple(stats)))
-    decided = engine(pruning=True).compare_decided(
-        first, None, "", cutoff, threshold_on
-    )
-    out.append(decided[:2] + (dataclasses.astuple(decided[2]),))
-    incremental = engine(incremental=True)
     for period in periods:
-        result = incremental.compare_incremental(
-            period["arrays"], period["raw"], period["times"], period["keys"],
-            "", period["params"], cutoff, threshold_on,
+        distances, stats = engine().compare(period)
+        out.append((distances, dataclasses.astuple(stats)))
+        decided = engine(pruning=True).compare_decided(
+            period, None, "", cutoff, threshold_on
         )
-        out.append(result[:2] + (dataclasses.astuple(result[2]),))
+        out.append(decided[:2] + (dataclasses.astuple(decided[2]),))
     return out
 
 
 @needs_native
 class TestEngineNativeVsNumpy:
-    """compare / compare_decided / compare_incremental report the same
-    bits with the C library and under ``REPRO_NATIVE=0``."""
+    """compare / compare_decided report the same bits with the C
+    library and under ``REPRO_NATIVE=0``."""
 
     @given(
         lengths=st.lists(st.integers(1, 45), min_size=2, max_size=7),

@@ -27,7 +27,7 @@ class TestValueNoise3D:
         t = 3.3
         batch = field.value_batch(xs, ys, t)
         scalar = [field.value(float(x), float(y), t) for x, y in zip(xs, ys)]
-        assert np.allclose(batch, scalar)
+        assert np.array_equal(batch, scalar)
 
     def test_batch_with_array_time(self):
         field = ValueNoise3D(seed=7)
@@ -35,7 +35,7 @@ class TestValueNoise3D:
         ts = np.array([0.5, 1.5, 2.5])
         batch = field.value_batch(xs, xs, ts)
         scalar = [field.value(float(x), float(x), float(t)) for x, t in zip(xs, ts)]
-        assert np.allclose(batch, scalar)
+        assert np.array_equal(batch, scalar)
 
     def test_smoothness(self):
         field = ValueNoise3D(seed=3, scale_x=20, scale_y=20, scale_t=5)

@@ -15,6 +15,7 @@ from collections import defaultdict
 
 import pytest
 
+from repro.core.detector import DetectorConfig
 from repro.core.pipeline import OnlineVoiceprint
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
@@ -330,7 +331,8 @@ def _replay_batch(events_by_observer, config):
 class TestServiceConfig:
     def test_defaults_valid(self):
         config = ServiceConfig()
-        assert config.detector_config.pairwise_incremental is True
+        # The exact engine: one ragged native DTW call per detection.
+        assert config.detector_config == DetectorConfig(pairwise_engine=True)
 
     @pytest.mark.parametrize(
         "kwargs",
