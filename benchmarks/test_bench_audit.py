@@ -3,8 +3,8 @@
 Runs a compare-dominated detection workload (all-pairs DTW over fresh
 random RSSI series each round, 30 s windows at 10 Hz — the CLI's
 default period regime) and gates the decision-audit layer's hot-path
-overhead: provenance capture in the engine plus bundle construction in
-the in-memory ring.
+overhead: evidence capture during normalisation plus bundle
+construction in the in-memory ring.
 
 The measurement discipline mirrors ``test_bench_profile.py``: rounds
 alternate baseline / audited so both modes sample the same host noise,

@@ -1,23 +1,18 @@
-"""Pairwise-engine benchmark — the PR-2 performance trajectory seed.
+"""Pairwise-engine benchmark.
 
 Replays one online-pipeline workload (an attacker trio plus independent
 neighbours, 10 Hz beacons, a detection every 5 s plus one same-window
 recheck and four *sliding* rechecks per period — the app-triggered
 event-messaging pattern where each recheck's window has slid by ~10 new
-beacons) through four comparison-phase configurations:
+beacons) through the exact pairwise engine (``kernel``: one ragged
+kernel call per detection).
 
-* ``naive``  — the legacy per-pair scalar loop,
-* ``kernel`` — the engine's ragged batch kernel, no reuse,
-* ``cached`` — kernel plus the pair cache,
-* ``full``   — kernel, cache, and bound-cascade pruning.
-
-Every configuration must flag exactly the same Sybil pairs in every
-period (the engine's bit-equality contract); the run writes
-``BENCH_pairwise.json`` at the repo root with pairs/sec, cache-hit rate
-and DTW cells relaxed/saved per configuration, and asserts the
-acceptance criteria: the full engine relaxes >= 4x fewer DP cells than
-the naive loop on this recheck-heavy workload, and the cache answers
-the same-window rechecks.
+Every detection must flag exactly the Sybil pairs a scalar reference
+loop flags — :func:`repro.core.fastdtw.dtw_banded_fast` over the same
+normalised windows, then Eq. 8 min–max and the threshold (the engine's
+bit-equality contract).  The reference runs outside the timed region.
+The run writes ``BENCH_pairwise.json`` at the repo root with wall time,
+pairs/sec and DTW cells relaxed.
 """
 
 import json
@@ -26,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.detector import DetectorConfig
+from repro.core.fastdtw import dtw_banded_fast
+from repro.core.normalization import minmax_distances
 from repro.core.pipeline import OnlineVoiceprint, OnlineVoiceprintConfig
 from repro.eval.reporting import render_table
 from repro.obs.metrics import MetricsRegistry
@@ -42,24 +38,6 @@ _N_INDEPENDENT = 11  # + the attacker's three identities = 14 heard
 #: window has slid by ~offset * rate new beacons at each one.
 _SLIDING_RECHECKS_S = (1.0, 2.0, 3.0, 4.0)
 
-_CONFIGS = {
-    "naive": {"pairwise_engine": False},
-    "kernel": {
-        "pairwise_engine": True,
-        "pairwise_cache_size": 0,
-        "pairwise_pruning": False,
-    },
-    "cached": {
-        "pairwise_engine": True,
-        "pairwise_cache_size": 256,
-        "pairwise_pruning": False,
-    },
-    "full": {
-        "pairwise_engine": True,
-        "pairwise_cache_size": 256,
-        "pairwise_pruning": True,
-    },
-}
 
 
 def _beacon_stream():
@@ -87,36 +65,63 @@ def _beacon_stream():
             yield float(timestamp), name, float(streams[name][index])
 
 
-def _run_config(name):
+def _reference_pairs(detector, report):
+    """The flagged pairs of a scalar per-pair loop over the windows the
+    detector just compared (default config: banded, path-normalised,
+    thresholded after min–max)."""
+    normalised, _ = detector._normalise(report.timestamp)
+    radius = detector.config.band_radius_samples
+    ids = sorted(normalised)
+    raw = {}
+    for index, a in enumerate(ids):
+        for b in ids[index + 1 :]:
+            result = dtw_banded_fast(normalised[a], normalised[b], radius)
+            raw[(a, b)] = result.distance / len(result.path)
+    judged = minmax_distances(raw)
+    return tuple(pair for pair, d in sorted(judged.items()) if d <= report.threshold)
+
+
+def _run_kernel():
     registry = MetricsRegistry(enabled=True)
     pipeline = OnlineVoiceprint(
         max_range_m=650.0,
-        detector_config=DetectorConfig(**_CONFIGS[name]),
         config=OnlineVoiceprintConfig(detection_period_s=_DETECTION_PERIOD_S),
         registry=registry,
     )
-    flagged = []
+    mismatches = []
     detections = 0
     pending: list = []
-    start = time.perf_counter()
+    wall_s = 0.0
+
+    def timed(call, *args):
+        nonlocal wall_s
+        start = time.perf_counter()
+        report = call(*args)
+        wall_s += time.perf_counter() - start
+        return report
+
+    def check(report):
+        # Before the next beacon lands: the reference must see the
+        # windows this detection compared.
+        nonlocal detections
+        detections += 1
+        want = _reference_pairs(pipeline.detector, report)
+        if report.sybil_pairs != want:
+            mismatches.append((report.timestamp, report.sybil_pairs, want))
+
     for timestamp, identity, rssi in _beacon_stream():
         while pending and timestamp >= pending[0]:
             # A sliding recheck: the window has slid by the beacons
             # that arrived since the last detection.
             pending.pop(0)
-            recheck = pipeline.force_detection(timestamp)
-            flagged.append(recheck.sybil_pairs)
-            detections += 1
-        report = pipeline.on_beacon(identity, timestamp, rssi)
+            check(timed(pipeline.force_detection, timestamp))
+        report = timed(pipeline.on_beacon, identity, timestamp, rssi)
         if report is not None:
             # An application-triggered recheck of the same window (the
-            # paper's event-triggered messaging): identical series, so
-            # a cache answers it without relaxing a single DP cell.
-            recheck = pipeline.force_detection(report.timestamp)
-            flagged.append((report.sybil_pairs, recheck.sybil_pairs))
-            detections += 2
+            # paper's event-triggered messaging).
+            check(report)
+            check(timed(pipeline.force_detection, report.timestamp))
             pending = [report.timestamp + dt for dt in _SLIDING_RECHECKS_S]
-    wall_s = time.perf_counter() - start
     pairs = int(registry.counter("detector.pairs_compared").value)
     record = {
         "wall_ms": round(wall_s * 1000.0, 1),
@@ -124,33 +129,19 @@ def _run_config(name):
         "pairs": pairs,
         "pairs_per_s": round(pairs / wall_s, 1),
         "pairs_exact": int(registry.counter("detector.pairs_exact").value),
-        "pairs_pruned": int(registry.counter("detector.pairs_pruned").value),
-        "cache_hits": int(registry.counter("detector.cache_hits").value),
-        "hit_rate": round(
-            registry.counter("detector.cache_hits").value / pairs, 3
-        ),
         "dtw_cells": int(registry.counter("detector.dtw_cells").value),
-        "cells_saved": int(registry.counter("detector.cells_saved").value),
     }
-    return record, flagged
+    return record, mismatches
 
 
 def test_bench_pairwise(once, benchmark):
-    def run_all():
-        return {name: _run_config(name) for name in _CONFIGS}
+    record, mismatches = once(benchmark, _run_kernel)
 
-    outcomes = once(benchmark, run_all)
-    records = {name: record for name, (record, _) in outcomes.items()}
+    # Bit-equality acceptance: every detection flags exactly the pairs
+    # the scalar reference loop flags.
+    assert record["detections"] > 0
+    assert mismatches == [], mismatches[:3]
 
-    # Bit-equality acceptance: every configuration flags exactly the
-    # same Sybil pairs as the naive loop, in every detection period.
-    reference = outcomes["naive"][1]
-    for name, (_, flagged) in outcomes.items():
-        assert flagged == reference, f"{name} diverged from the naive flag sets"
-
-    naive_cells = records["naive"]["dtw_cells"]
-    full_cells = records["full"]["dtw_cells"]
-    records["full"]["cells_ratio_vs_naive"] = round(naive_cells / full_cells, 1)
     payload = {
         "workload": {
             "identities": _N_INDEPENDENT + 3,
@@ -160,40 +151,14 @@ def test_bench_pairwise(once, benchmark):
             "rechecks_per_period": 1 + len(_SLIDING_RECHECKS_S),
             "sliding_rechecks_per_period": len(_SLIDING_RECHECKS_S),
         },
-        "configs": records,
+        "configs": {"kernel": record},
     }
     _OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     table = render_table(
-        [
-            "config",
-            "wall ms",
-            "pairs/s",
-            "hit rate",
-            "pruned",
-            "DTW cells",
-        ],
-        [
-            (
-                name,
-                record["wall_ms"],
-                record["pairs_per_s"],
-                record["hit_rate"],
-                record["pairs_pruned"],
-                record["dtw_cells"],
-            )
-            for name, record in records.items()
-        ],
+        ["config", "wall ms", "pairs/s", "DTW cells"],
+        [("kernel", record["wall_ms"], record["pairs_per_s"], record["dtw_cells"])],
         title=f"pairwise engine — sliding-recheck workload (-> {_OUT_PATH.name})",
     )
     print("\n" + table)
     benchmark.extra_info["table"] = table
-
-    # Acceptance criterion: >= 4x fewer DP cells relaxed end-to-end.
-    # (The sliding rechecks add near-identical windows whose bounds are
-    # genuinely tight, so the cascade prunes a little less than on the
-    # periodic-only workload, where the ratio was >= 5x.)
-    assert naive_cells >= 4 * full_cells, (naive_cells, full_cells)
-    # The cache alone must absorb the same-window recheck share of the
-    # workload (1 of the 6 detections per period; sliding rechecks miss).
-    assert records["cached"]["hit_rate"] >= 0.15

@@ -21,7 +21,7 @@ trajectories as sparklines.
 
 Metrics are classified by their leaf key:
 
-* **deterministic** metrics (DP cell counts, cache hit rates, pair
+* **deterministic** metrics (DP cell counts, pair counts, detection
   counts) gate at ``--tolerance`` (default 10 %%) — these are exact
   replays of a seeded workload, so genuine drift means the engine
   changed behaviour;
@@ -31,8 +31,8 @@ Metrics are classified by their leaf key:
 * unknown numeric leaves are reported but never fail the gate.
 
 Direction matters: ``dtw_cells`` growing is a regression, shrinking is
-a win; ``hit_rate`` the other way around.  Per-metric overrides:
-``--tolerances dtw_cells=0.02,hit_rate=0.05``.
+a win; ``attributed_pct`` the other way around.  Per-metric overrides:
+``--tolerances dtw_cells=0.02,attributed_pct=0.05``.
 """
 
 from __future__ import annotations
@@ -53,14 +53,9 @@ __all__ = ["main", "compare_payloads", "append_history", "Comparison"]
 _RULES: Dict[str, Tuple[str, str]] = {
     "wall_ms": ("lower", "timing"),
     "pairs_per_s": ("higher", "timing"),
-    "hit_rate": ("higher", "deterministic"),
     "dtw_cells": ("lower", "deterministic"),
-    "cells_saved": ("higher", "deterministic"),
-    "cells_ratio_vs_naive": ("higher", "deterministic"),
     "pairs": ("both", "deterministic"),
     "pairs_exact": ("lower", "deterministic"),
-    "pairs_pruned": ("higher", "deterministic"),
-    "cache_hits": ("higher", "deterministic"),
     "detections": ("both", "deterministic"),
     "sliding_rechecks_per_period": ("both", "deterministic"),
     # parallel evaluation benchmark (BENCH_parallel.json)

@@ -47,12 +47,9 @@ collapsed-stack file (``--profile-out``) ready for flamegraph.pl or
 speedscope; ``--profile-memory`` adds per-phase tracemalloc
 attribution (see README "Profiling").
 
-The pairwise comparison engine (``repro.core.pairwise``) is likewise
-configured globally: ``--pairwise {engine,naive}``,
-``--pairwise-pruning {on,off}``, ``--pairwise-cache N`` and
-``--pairwise-workers N`` set the
-process-wide defaults every detector constructed during the run
-inherits (see README "Performance").
+The pairwise comparison engine (``repro.core.pairwise``) has no
+flags: every detection runs exact banded DTW over all identity pairs
+in one native kernel call (see README "Performance").
 
 Parallel evaluation (``repro.eval.parallel``) is configured the same
 way: ``--workers N`` fans experiment grids and per-verifier replay out
@@ -72,7 +69,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 from . import obs
 from .obs.drift import SLOSpec
 from .obs.health import HealthMonitor, HealthThresholds
-from .core.pairwise import set_engine_defaults
 from .eval import experiments as ex
 from .eval.parallel import set_parallel_defaults
 from .eval.reporting import render_table
@@ -419,35 +415,6 @@ def _add_obs_arguments(
         "net/peak memory (implies --profile; slows the run)",
     )
     parser.add_argument(
-        "--pairwise",
-        choices=["engine", "naive"],
-        default=suppressed if suppress_defaults else None,
-        help="pairwise comparison backend: the vectorised/cached engine "
-        "(default) or the legacy per-pair loop (bit-identical results)",
-    )
-    parser.add_argument(
-        "--pairwise-pruning",
-        choices=["on", "off"],
-        default=suppressed if suppress_defaults else None,
-        help="decide pairs from DTW bounds when they cannot change the "
-        "flagged set (off by default: pruned pairs report bound "
-        "surrogates instead of exact distances)",
-    )
-    parser.add_argument(
-        "--pairwise-cache",
-        type=int,
-        metavar="N",
-        default=suppressed if suppress_defaults else None,
-        help="pairwise LRU cache capacity in pairs (0 disables)",
-    )
-    parser.add_argument(
-        "--pairwise-workers",
-        type=int,
-        metavar="N",
-        default=suppressed if suppress_defaults else None,
-        help="thread-pool width for exact DTW evaluations (0 = inline)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         metavar="N",
@@ -470,7 +437,7 @@ def _add_obs_arguments(
         metavar="PATH",
         default=suppressed if suppress_defaults else None,
         help="record per-pair decision provenance (windows, margins, "
-        "DTW distances, prune/cache tags) to a JSONL audit log at PATH "
+        "DTW distances, provenance tags) to a JSONL audit log at PATH "
         "(indexed .1/.2/... like the flight recorder); inspect it with "
         "the 'explain' subcommand",
     )
@@ -521,10 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="voiceprint-repro",
         description="Regenerate tables and figures of the Voiceprint paper "
         "(Yao et al., DSN 2017).",
-        # Prefix matching would make a subcommand flag like explain's
-        # --pair ambiguous against --pairwise-* at the top level, since
-        # argparse classifies every token before handing the tail to
-        # the subparser.
+        # Prefix matching would let the top level claim a subcommand
+        # flag that abbreviates one of its own (explain's --pair, say,
+        # against a longer --pair... option), since argparse classifies
+        # every token before handing the tail to the subparser.
         allow_abbrev=False,
     )
     parser.add_argument("--seed", type=int, default=7, help="master RNG seed")
@@ -1132,14 +1099,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             hz=args.profile_hz if args.profile_hz is not None else 99.0,
             memory=bool(args.profile_memory),
         )
-    previous_defaults = set_engine_defaults(
-        engine=None if args.pairwise is None else args.pairwise == "engine",
-        pruning=(
-            None if args.pairwise_pruning is None else args.pairwise_pruning == "on"
-        ),
-        cache_size=args.pairwise_cache,
-        workers=args.pairwise_workers,
-    )
     previous_parallel = set_parallel_defaults(
         workers=args.workers, task_timeout=args.task_timeout
     )
@@ -1279,12 +1238,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             recorder.close()
         if monitor is not None:
             obs.set_default_monitor(previous_monitor)
-        set_engine_defaults(
-            engine=previous_defaults.engine,
-            pruning=previous_defaults.pruning,
-            cache_size=previous_defaults.cache_size,
-            workers=previous_defaults.workers,
-        )
         set_parallel_defaults(
             workers=previous_parallel.workers,
             task_timeout=previous_parallel.task_timeout,

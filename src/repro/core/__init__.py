@@ -13,14 +13,7 @@ from .dtw import DTWResult, dtw, dtw_banded, dtw_distance
 from .fastdtw import fastdtw, fastdtw_distance
 from .lda import DecisionLine, LDAModel, fit_decision_line, fit_lda
 from .normalization import enhanced_zscore, minmax, minmax_distances, zscore
-from .pairwise import (
-    EngineDefaults,
-    PairwiseEngine,
-    PairwiseStats,
-    dtw_banded_batch,
-    get_engine_defaults,
-    set_engine_defaults,
-)
+from .pairwise import PairwiseEngine, PairwiseStats, dtw_banded_batch
 from .pipeline import OnlineVoiceprint, OnlineVoiceprintConfig
 from .thresholds import (
     PAPER_FIELD_THRESHOLD,
@@ -57,12 +50,9 @@ __all__ = [
     "minmax",
     "minmax_distances",
     "zscore",
-    "EngineDefaults",
     "PairwiseEngine",
     "PairwiseStats",
     "dtw_banded_batch",
-    "get_engine_defaults",
-    "set_engine_defaults",
     "OnlineVoiceprint",
     "OnlineVoiceprintConfig",
     "PAPER_FIELD_THRESHOLD",

@@ -41,10 +41,11 @@ from ..obs.logging import get_logger
 from ..obs.metrics import MetricsRegistry, default_registry
 from ..obs.timers import Stopwatch
 from ..obs.trace import Tracer, default_tracer
-from .fastdtw import DEFAULT_RADIUS, dtw_banded_fast, fastdtw
-from .dtw import dtw
+# ``dtw_banded_fast`` is unused here but stays importable from this
+# module: external tracers patch it by this name.
+from .fastdtw import DEFAULT_RADIUS, dtw_banded_fast  # noqa: F401
 from .normalization import _SIGMA_FLOOR, minmax_distances, zscore
-from .pairwise import PairwiseEngine, PairwiseStats, get_engine_defaults
+from .pairwise import PairwiseEngine, PairwiseStats
 from .thresholds import LinearThreshold, ThresholdPolicy
 from .timeseries import RSSITimeSeries
 
@@ -146,30 +147,14 @@ class DetectorConfig:
             make *short* series pairs spuriously similar simply because
             fewer terms are summed.  Path-length normalisation removes
             that length bias; the ablation bench (E12) measures both.
-        pairwise_engine: Run the comparison phase through the
-            :class:`repro.core.pairwise.PairwiseEngine` (vectorised /
-            batched banded-DTW kernels plus the pair cache).
-            Bit-identical to the legacy per-pair loop, just faster.
-            ``None`` (default) follows the process-wide engine defaults
-            (CLI ``--pairwise``).
-        pairwise_pruning: Let :meth:`VoiceprintDetector.detect` decide
-            pairs from the engine's lower/upper-bound cascade without
-            running DTW when the bounds cannot change the flagged set
-            (banded mode only).  Flagged pairs are identical to the
-            exact computation; pruned pairs carry bound surrogates
-            instead of exact distances in the report, so analyses that
-            consume distance *values* should leave this off (the
-            default; see DESIGN.md).  ``None`` follows the process-wide
-            defaults.
+        pairwise_engine: Deprecated no-op.  It chose between the
+            :class:`repro.core.pairwise.PairwiseEngine` and a per-pair
+            Python loop with bit-identical results; the loop was
+            retired.  Setting it emits a ``DeprecationWarning``.
         pairwise_incremental: Deprecated no-op.  The incremental engine
             it selected was retired (the exact engine out-ran it on
             every benchmark); setting it emits a ``DeprecationWarning``
             and detection runs the exact engine.
-        pairwise_cache_size: LRU capacity of the engine's pair cache
-            (0 disables; ``None`` follows the process-wide defaults).
-        pairwise_workers: Engine thread-pool width for exact kernel
-            evaluations (0 = inline; ``None`` follows the process-wide
-            defaults).
     """
 
     observation_time: float = 20.0
@@ -182,10 +167,7 @@ class DetectorConfig:
     use_exact_dtw: bool = False
     normalize_by_path_length: bool = True
     pairwise_engine: Optional[bool] = None
-    pairwise_pruning: Optional[bool] = None
     pairwise_incremental: Optional[bool] = None
-    pairwise_cache_size: Optional[int] = None
-    pairwise_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.observation_time <= 0:
@@ -217,22 +199,14 @@ class DetectorConfig:
                 f"threshold_on must be 'normalized' or 'raw', got "
                 f"{self.threshold_on!r}"
             )
-        if self.pairwise_cache_size is not None and self.pairwise_cache_size < 0:
-            raise ValueError(
-                f"pairwise_cache_size must be >= 0, got {self.pairwise_cache_size}"
-            )
-        if self.pairwise_workers is not None and self.pairwise_workers < 0:
-            raise ValueError(
-                f"pairwise_workers must be >= 0, got {self.pairwise_workers}"
-            )
-        if self.pairwise_incremental is not None:
-            warnings.warn(
-                "DetectorConfig.pairwise_incremental is deprecated and "
-                "ignored: the incremental engine was retired and detection "
-                "runs the exact engine",
-                DeprecationWarning,
-                stacklevel=3,
-            )
+        for name in ("pairwise_engine", "pairwise_incremental"):
+            if getattr(self, name) is not None:
+                warnings.warn(
+                    f"DetectorConfig.{name} is deprecated and ignored: "
+                    "detection always runs the exact pairwise engine",
+                    DeprecationWarning,
+                    stacklevel=3,
+                )
 
 
 @dataclass(frozen=True)
@@ -394,47 +368,24 @@ class VoiceprintDetector:
         self._health = health if health is not None else default_monitor()
         self._c_beacons = metrics.counter("detector.beacons_observed")
         self._c_evictions = metrics.counter("detector.series_evictions")
-        self._c_pairs = metrics.counter("detector.pairs_compared")
-        self._c_cells = metrics.counter("detector.dtw_cells")
         self._h_detect_ms = metrics.histogram("detector.detect_ms")
         self._h_margin = metrics.histogram("pipeline.margin.signed")
         self._h_margin_abs = metrics.histogram("pipeline.margin.abs")
         self._c_near_miss = metrics.counter("pipeline.margin.near_miss")
-        defaults = get_engine_defaults()
         cfg = self.config
-        use_engine = (
-            defaults.engine if cfg.pairwise_engine is None else cfg.pairwise_engine
+        self._engine = PairwiseEngine(
+            band_radius=cfg.band_radius_samples,
+            use_exact_dtw=cfg.use_exact_dtw,
+            fastdtw_radius=cfg.fastdtw_radius,
+            normalize_by_path_length=cfg.normalize_by_path_length,
+            registry=metrics,
         )
-        self._pruning = (
-            defaults.pruning if cfg.pairwise_pruning is None else cfg.pairwise_pruning
-        )
-        self._engine: Optional[PairwiseEngine] = None
-        if use_engine:
-            self._engine = PairwiseEngine(
-                band_radius=cfg.band_radius_samples,
-                use_exact_dtw=cfg.use_exact_dtw,
-                fastdtw_radius=cfg.fastdtw_radius,
-                normalize_by_path_length=cfg.normalize_by_path_length,
-                pruning=self._pruning,
-                cache_size=(
-                    defaults.cache_size
-                    if cfg.pairwise_cache_size is None
-                    else cfg.pairwise_cache_size
-                ),
-                workers=(
-                    defaults.workers
-                    if cfg.pairwise_workers is None
-                    else cfg.pairwise_workers
-                ),
-                registry=metrics,
-            )
-
         self._c_stale_forgets = metrics.counter("detector.stale_forgets")
 
     @property
-    def pairwise_stats(self) -> Optional[PairwiseStats]:
-        """Cumulative engine work accounting (``None`` on the legacy path)."""
-        return self._engine.stats if self._engine is not None else None
+    def pairwise_stats(self) -> PairwiseStats:
+        """Cumulative engine work accounting."""
+        return self._engine.stats
 
     # ------------------------------------------------------------------
     # Single-writer ownership guard
@@ -555,20 +506,8 @@ class VoiceprintDetector:
     # ------------------------------------------------------------------
     def _pair_distance(self, x: np.ndarray, y: np.ndarray) -> float:
         """One pair's comparison distance through the kernel ``detect()``
-        uses: the engine's exact kernel when the engine is on, else the
-        legacy per-pair kernels."""
-        if self._engine is not None:
-            ((distance, path_len, cells),) = self._engine.kernel_triples([x], [y])
-        else:
-            if self.config.use_exact_dtw:
-                result = dtw(x, y)
-            elif self.config.band_radius_samples is not None:
-                result = dtw_banded_fast(x, y, self.config.band_radius_samples)
-            else:
-                result = fastdtw(x, y, radius=self.config.fastdtw_radius)
-            distance, path_len, cells = result.distance, len(result.path), result.cells
-        self._c_pairs.inc()
-        self._c_cells.inc(cells)
+        runs (``repro timing`` times it)."""
+        ((distance, path_len, _cells),) = self._engine.kernel_triples([x], [y])
         if self.config.normalize_by_path_length:
             return distance / path_len
         return distance
@@ -577,20 +516,15 @@ class VoiceprintDetector:
         self,
         now: float,
         capture: Optional[Dict[str, Any]] = None,
-    ) -> Tuple[Dict[str, np.ndarray], List[str], Optional[Dict[str, bytes]], str]:
+    ) -> Tuple[Dict[str, np.ndarray], List[str]]:
         """Cut and normalise the observation window (``normalise`` span).
 
-        Returns ``(normalised, skipped, cache_keys, scale_tag)``.  The
-        cache keys fingerprint each identity's *raw* window bytes and
-        the scale tag fingerprints everything else that determines the
-        normalised series, so key+tag equality implies the normalised
-        series — and hence any DTW result on them — is identical.
-
-        When ``capture`` is given (an audit sink is active), it is
-        filled with the raw windows and the exact ``(mean, divisor)``
-        each series was normalised with — ``(raw - mean) / divisor``
-        reproduces the normalised series bit-identically (divisor 0
-        marks the z-score constant-series case: all zeros).
+        Returns ``(normalised, skipped)``.  When ``capture`` is given (an
+        audit sink is active), it is filled with the raw windows, the
+        exact ``(mean, divisor)`` each series was normalised with —
+        ``(raw - mean) / divisor`` reproduces the normalised series
+        bit-identically (divisor 0 marks the z-score constant-series
+        case: all zeros) — and a ``scale_tag`` fingerprinting the scale.
         """
         with self._tracer.span("normalise") as span:
             window_start = now - self.config.observation_time
@@ -603,7 +537,7 @@ class VoiceprintDetector:
                     continue
                 windows[identity] = window.values
             normalised: Dict[str, np.ndarray] = {}
-            series_capture: Optional[Dict[str, Dict[str, Any]]] = None
+            series_capture: Dict[str, Dict[str, Any]] = {}
             if self.config.scale_mode == "median" and windows:
                 sigmas = [float(np.std(v)) for v in windows.values()]
                 scale = self.config.sigma_multiplier * max(
@@ -614,8 +548,6 @@ class VoiceprintDetector:
                     mean = float(np.mean(values))
                     normalised[identity] = (values - mean) / scale
                     if capture is not None:
-                        if series_capture is None:
-                            series_capture = capture.setdefault("series", {})
                         series_capture[identity] = {
                             "values": values,
                             "mean": mean,
@@ -629,8 +561,6 @@ class VoiceprintDetector:
                     )
                     if capture is not None:
                         sigma = float(np.std(values))
-                        if series_capture is None:
-                            series_capture = capture.setdefault("series", {})
                         series_capture[identity] = {
                             "values": values,
                             "mean": float(np.mean(values)),
@@ -642,15 +572,10 @@ class VoiceprintDetector:
                         }
             if capture is not None:
                 capture["scale_tag"] = scale_tag
-            keys: Optional[Dict[str, bytes]] = None
-            if self._engine is not None and self._engine.cache_enabled:
-                keys = {
-                    identity: values.tobytes()
-                    for identity, values in windows.items()
-                }
+                capture["series"] = series_capture
             span.set_attribute("series", len(normalised))
             span.set_attribute("skipped", len(skipped))
-        return normalised, skipped, keys, scale_tag
+        return normalised, skipped
 
     def compare(
         self,
@@ -660,28 +585,17 @@ class VoiceprintDetector:
         """Run the comparison phase only.
 
         Returns ``(raw_distances, compared_ids, skipped_ids)`` where the
-        distances are *pre*-min–max FastDTW values on Z-scored series.
+        distances are *pre*-min–max DTW values on normalised series.
         ``capture`` is the audit evidence dict (see :meth:`_normalise`).
         """
         if now is None:
             now = self._latest
-        normalised, skipped, keys, scale_tag = self._normalise(now, capture)
+        normalised, skipped = self._normalise(now, capture)
         with self._tracer.span("pairwise_dtw") as span:
-            compared = tuple(sorted(normalised))
-            cells_before = self._c_cells.value
-            if self._engine is not None:
-                raw, stats = self._engine.compare(normalised, keys, scale_tag)
-                span.set_attribute("cache_hits", stats.cache_hits)
-            else:
-                raw = {}
-                for idx, a in enumerate(compared):
-                    for b in compared[idx + 1 :]:
-                        raw[(a, b)] = self._pair_distance(
-                            normalised[a], normalised[b]
-                        )
-            span.set_attribute("pairs", len(raw))
-            span.set_attribute("cells", int(self._c_cells.value - cells_before))
-        return raw, compared, tuple(sorted(skipped))
+            raw, stats = self._engine.compare(normalised)
+            span.set_attribute("pairs", stats.pairs)
+            span.set_attribute("cells", stats.cells)
+        return raw, tuple(sorted(normalised)), tuple(sorted(skipped))
 
     def detect(
         self,
@@ -706,71 +620,27 @@ class VoiceprintDetector:
             raise ValueError(f"density must be non-negative, got {density}")
         if now is None:
             now = self._latest if self._buffers else 0.0
-        pruning = self._engine is not None and self._engine.can_prune
         sink = default_audit_log()
         capture: Optional[Dict[str, Any]] = {} if sink is not None else None
-        if self._engine is not None:
-            self._engine.record_provenance = sink is not None
         stopwatch = Stopwatch(self._h_detect_ms)
         with self._tracer.span("detection", density=float(density)) as root, \
                 stopwatch:
-            if pruning:
-                assert self._engine is not None
-                # Threshold-aware comparison: the engine decides pairs
-                # from the bound cascade wherever the bounds cannot
-                # change the flagged set, so the spans below see
-                # surrogate distances for pruned pairs (bit-identical
-                # flags, see DESIGN.md).
-                normalised, skipped_list, keys, scale_tag = self._normalise(
-                    now, capture
-                )
-                compared = tuple(sorted(normalised))
-                skipped = tuple(sorted(skipped_list))
+            raw, compared, skipped = self.compare(now=now, capture=capture)
+            with self._tracer.span("minmax"):
+                distances = minmax_distances(raw)
+            with self._tracer.span("threshold") as span:
                 cutoff = self.threshold.threshold_at(density)
-                with self._tracer.span("pairwise_dtw") as span:
-                    cells_before = self._c_cells.value
-                    raw, flags, stats = self._engine.compare_decided(
-                        normalised,
-                        keys,
-                        scale_tag,
-                        float(cutoff),
-                        self.config.threshold_on,
-                    )
-                    span.set_attribute("pairs", len(raw))
-                    span.set_attribute("cells", int(self._c_cells.value - cells_before))
-                    span.set_attribute("pruned", stats.pruned)
-                    span.set_attribute("cache_hits", stats.cache_hits)
-                with self._tracer.span("minmax"):
-                    distances = minmax_distances(raw)
-                with self._tracer.span("threshold") as span:
-                    sybil_pairs = tuple(
-                        pair for pair in sorted(flags) if flags[pair]
-                    )
-                    sybil_ids = frozenset(
-                        identity for pair in sybil_pairs for identity in pair
-                    )
-                    span.set_attribute("threshold", float(cutoff))
-                    span.set_attribute("flagged", len(sybil_ids))
-            else:
-                raw, compared, skipped = self.compare(now=now, capture=capture)
-                with self._tracer.span("minmax"):
-                    distances = minmax_distances(raw)
-                with self._tracer.span("threshold") as span:
-                    cutoff = self.threshold.threshold_at(density)
-                    judged = (
-                        distances if self.config.threshold_on == "normalized" else raw
-                    )
-                    sybil_pairs = tuple(
-                        pair for pair, d in sorted(judged.items()) if d <= cutoff
-                    )
-                    sybil_ids = frozenset(
-                        identity for pair in sybil_pairs for identity in pair
-                    )
-                    span.set_attribute("threshold", float(cutoff))
-                    span.set_attribute("flagged", len(sybil_ids))
-            judged = (
-                distances if self.config.threshold_on == "normalized" else raw
-            )
+                judged = (
+                    distances if self.config.threshold_on == "normalized" else raw
+                )
+                sybil_pairs = tuple(
+                    pair for pair, d in sorted(judged.items()) if d <= cutoff
+                )
+                sybil_ids = frozenset(
+                    identity for pair in sybil_pairs for identity in pair
+                )
+                span.set_attribute("threshold", float(cutoff))
+                span.set_attribute("flagged", len(sybil_ids))
             epsilon = get_near_miss_epsilon()
             margins: Dict[Pair, float] = {}
             for pair, distance in judged.items():
@@ -812,11 +682,6 @@ class VoiceprintDetector:
                         config=self.config,
                         scale_tag=(capture or {}).get("scale_tag", ""),
                         series=(capture or {}).get("series", {}),
-                        provenance=(
-                            self._engine.last_provenance
-                            if self._engine is not None
-                            else None
-                        ),
                         observer=observer,
                         period=period,
                         store_windows=sink.store_windows,

@@ -6,7 +6,9 @@ with its own lengths ``n`` and ``m``, addressed by offsets into one flat
 buffer of series — builds each pair's Sakoe–Chiba band in C and relaxes
 it along anti-diagonals.  The library is compiled at runtime — plain
 ``cc -O2 -fPIC -shared`` into a content-addressed shared library under
-the system temp directory, loaded through :mod:`ctypes`.
+the system temp directory, loaded through :mod:`ctypes`.  (The entry
+point keeps the name it had when the kernel could also abandon pairs
+early; external tracers resolve it by that name.)
 
 Bit-identity contract
 ---------------------
@@ -16,12 +18,10 @@ scale + 1)``, ``ceil(i*scale + radius)``, the round-half-even fallback
 and the monotone fix-up).  The C kernel relaxes exactly the cells the
 numpy kernel relaxes, in the same per-cell expression order
 (``seg*seg + min(min(diag, up), left)``), compiled with
-``-ffp-contract=off`` so no fused multiply-add changes a rounding, and
-it applies the identical checkpointed two-diagonal abandon test at the
-same stride.  Completed distances, path lengths, abandon evidence and
-relaxed-cell counts are therefore bit-identical to
-:func:`repro.core.pairwise.dtw_banded_batch_abandon`'s numpy path — the
-dispatch is invisible to every caller (tested in
+``-ffp-contract=off`` so no fused multiply-add changes a rounding.
+Distances, path lengths and relaxed-cell counts are therefore
+bit-identical to :func:`repro.core.pairwise.dtw_banded_batch_abandon`'s
+numpy path — the dispatch is invisible to every caller (tested in
 ``tests/test_core_native.py``).
 
 Gating
@@ -57,8 +57,7 @@ _C_SOURCE = r"""
  * expression for expression as repro.core.fastdtw.sakoe_chiba_band.
  * Returns 0 when lo is not non-decreasing (the diagonal sweep below
  * needs monotone ends; no Sakoe-Chiba geometry is known to break it),
- * 2 when some anti-diagonal is empty (a row starting right after the
- * previous row ends), 1 otherwise. */
+ * 1 otherwise. */
 static int band(int64_t n, int64_t m, int64_t radius,
                 int64_t *lo, int64_t *hi)
 {
@@ -77,43 +76,32 @@ static int band(int64_t n, int64_t m, int64_t radius,
     }
     lo[1] = 1;
     hi[n] = m;
-    int gap = 0;
     for (int64_t i = 2; i <= n; i++) {
         if (lo[i] > hi[i - 1] + 1) lo[i] = hi[i - 1] + 1;
         if (hi[i] < hi[i - 1]) hi[i] = hi[i - 1];
         if (lo[i] < lo[i - 1]) return 0;
-        if (lo[i] == hi[i - 1] + 1) gap = 1;
     }
-    return gap ? 2 : 1;
+    return 1;
 }
 
-/* Banded DTW over anti-diagonals with checkpointed early abandoning,
- * one ragged batch per call.
+/* Banded DTW over anti-diagonals, one ragged batch per call.
  *
  * Pair p reads a = values[pairs[4p] ...] (n = pairs[4p+1] samples) and
  * b = values[pairs[4p+2] ...] (m = pairs[4p+3]).  Diagonal k holds the
  * in-band cells (i, j) with i + j == k; each costs (a[i-1] - b[j-1])^2
  * plus the cheapest of its left/up/diagonal predecessors, and path
  * lengths follow the scalar traceback's strict-comparison tie-breaks.
- * Every abandon checkpoint scans the two just-relaxed diagonals; both
- * minima above the pair's threshold proves the final distance can
- * never come back below it.  Pairs shorter than two samples, or whose
- * band has an empty diagonal, always run to completion (as the numpy
- * kernel, which hands those shapes to the scalar DP).
  *
- * Status per pair: 1 completed, 0 abandoned, -1 no in-band path,
- * -2 declined (unsupported band or out of memory; the caller runs it
- * elsewhere).
+ * Status per pair: 1 completed, -1 no in-band path, -2 declined
+ * (unsupported band or out of memory; the caller runs it elsewhere).
  */
 void dtw_band_ragged(
     const double *values,   /* all series, concatenated */
     const int64_t *pairs,   /* count x 4: a offset, n, b offset, m */
     int64_t count,
     int64_t radius,
-    const double *thr,      /* count abandon thresholds (may be inf) */
-    int64_t stride,         /* checkpoint every stride-th diagonal */
-    double *out_val,        /* count: distance / abandon evidence */
-    int64_t *out_len,       /* count: path length when completed */
+    double *out_val,        /* count: distance */
+    int64_t *out_len,       /* count: path length */
     int64_t *out_cells,     /* count: cells relaxed */
     int8_t *out_status)
 {
@@ -143,13 +131,10 @@ void dtw_band_ragged(
         int64_t n = pairs[4 * p + 1];
         const double *bp = values + pairs[4 * p + 2];
         int64_t m = pairs[4 * p + 3];
-        int shape = band(n, m, radius, lo, hi);
-        if (shape == 0) {
+        if (!band(n, m, radius, lo, hi)) {
             out_status[p] = -2;
             continue;
         }
-        double threshold = thr[p];
-        int check = isfinite(threshold) && shape == 1 && n >= 2 && m >= 2;
         for (int64_t j = 0; j < m; j++) b_rev[m - 1 - j] = bp[j];
 
         for (int64_t i = 0; i < n + 2; i++) {
@@ -162,9 +147,7 @@ void dtw_band_ragged(
 
         int64_t n_diag = n + m - 1;
         int64_t cells = 0;
-        int abandoned = 0;
         int64_t i0 = 1, i1 = 1;  /* rows alive on the current diagonal */
-        int64_t p0 = 1, p1 = 0;  /* ... and on the previous one */
         for (int64_t kidx = 0; kidx < n_diag; kidx++) {
             int64_t k = kidx + 2;
             /* Row i lies on diagonals i+lo[i] .. i+hi[i]; both ends
@@ -206,27 +189,7 @@ void dtw_band_ragged(
             if (i1 >= i0) cells += i1 - i0 + 1;
             double *vt = v_km2; v_km2 = v_km1; v_km1 = v_new; v_new = vt;
             int64_t *lt = l_km2; l_km2 = l_km1; l_km1 = l_new; l_new = lt;
-            if (check && kidx > 0 && kidx < n_diag - 1
-                    && kidx % stride == 0) {
-                double cur_min = INFINITY;
-                for (int64_t i = i0; i <= i1; i++)
-                    cur_min = fmin(cur_min, v_km1[i]);
-                double prev_min = INFINITY;
-                for (int64_t i = p0; i <= p1; i++)
-                    prev_min = fmin(prev_min, v_km2[i]);
-                if (cur_min > threshold && prev_min > threshold) {
-                    out_val[p] = fmin(cur_min, prev_min);
-                    out_len[p] = 0;
-                    out_cells[p] = cells;
-                    out_status[p] = 0;
-                    abandoned = 1;
-                    break;
-                }
-            }
-            p0 = i0;
-            p1 = i1;
         }
-        if (abandoned) continue;
         double distance = v_km1[n];
         if (isinf(distance)) {
             out_status[p] = -1;
@@ -296,8 +259,6 @@ def _compile() -> Optional[ctypes.CDLL]:
         ctypes.c_int64,
         ctypes.c_int64,
         ctypes.POINTER(ctypes.c_double),
-        ctypes.c_int64,
-        ctypes.POINTER(ctypes.c_double),
         ctypes.POINTER(ctypes.c_int64),
         ctypes.POINTER(ctypes.c_int64),
         ctypes.POINTER(ctypes.c_int8),
@@ -330,8 +291,6 @@ def abandon_batch_native(
     pairs: np.ndarray,
     values: np.ndarray,
     radius: int,
-    thresholds: np.ndarray,
-    stride: int,
 ) -> Optional[tuple]:
     """One C sweep over a ragged batch; None if unavailable.
 
@@ -340,29 +299,23 @@ def abandon_batch_native(
             locating each pair's two series in ``values``.
         values: Every series of the batch, concatenated (float64).
         radius: Sakoe–Chiba half-width, shared by the batch.
-        thresholds: Per-pair abandon threshold; ``inf`` runs exactly.
-        stride: Anti-diagonals between abandon checkpoints.
 
-    Returns ``(status, values, lengths, cells)`` arrays over the batch:
-    status 1 means ``values``/``lengths``/``cells`` hold the completed
-    distance, path length and band area, status 0 means
-    ``values``/``cells`` hold abandon evidence and relaxed cells,
-    status -1 means no in-band path, and status -2 means the kernel
-    declined the pair (the caller must run it another way).
+    Returns ``(status, distances, lengths, cells)`` arrays over the
+    batch: status 1 means the pair's distance, path length and band
+    area are filled in, status -1 means no in-band path, and status -2
+    means the kernel declined the pair (the caller must run it another
+    way).
     """
     lib = _get()
     if lib is None:
         return None
     pairs_c = np.ascontiguousarray(pairs, dtype=np.int64)
     values_c = np.ascontiguousarray(values, dtype=np.float64)
-    thr_c = np.ascontiguousarray(thresholds, dtype=np.float64)
     if pairs_c.ndim != 2 or pairs_c.shape[1] != 4 or values_c.ndim != 1:
         raise ValueError("expected (count, 4) pair rows over a 1-D value buffer")
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
     count = pairs_c.shape[0]
-    if thr_c.shape != (count,):
-        raise ValueError(f"expected {count} thresholds, got shape {thr_c.shape}")
-    if radius < 0 or stride < 1:
-        raise ValueError(f"need radius >= 0 and stride >= 1, got {radius}, {stride}")
     # The C loop trusts every offset: reject rows that would read outside
     # the buffer (or an empty series) before handing over pointers.
     starts = pairs_c[:, 0::2]
@@ -380,8 +333,6 @@ def abandon_batch_native(
         _as_c(pairs_c, ctypes.c_int64),
         count,
         int(radius),
-        _as_c(thr_c, ctypes.c_double),
-        int(stride),
         _as_c(out, ctypes.c_double),
         _as_c(lengths, ctypes.c_int64),
         _as_c(cells, ctypes.c_int64),

@@ -106,7 +106,6 @@ class OnlineVoiceprint:
         self._c_periods = metrics.counter("pipeline.detection_periods")
         self._g_density = metrics.gauge("pipeline.density_vhls_per_km")
         self._g_confirmed = metrics.gauge("pipeline.confirmed_sybils")
-        self._g_hit_rate = metrics.gauge("pipeline.pairwise_cache_hit_rate")
         self._tracer = tracer if tracer is not None else default_tracer()
         self._health = health if health is not None else default_monitor()
         # The detector feeds the monitor itself (beat per beacon,
@@ -153,12 +152,9 @@ class OnlineVoiceprint:
 
     @property
     def pairwise_stats(self):
-        """Cumulative pairwise-engine work accounting.
-
-        ``repro.core.pairwise.PairwiseStats`` (pairs, exact kernel runs,
-        pruned pairs, cache hits, DP cells relaxed/saved) — or ``None``
-        when the detector runs the legacy pairwise loop.
-        """
+        """Cumulative pairwise-engine work accounting
+        (``repro.core.pairwise.PairwiseStats``: pairs, kernel runs, DP
+        cells relaxed)."""
         return self.detector.pairwise_stats
 
     # ------------------------------------------------------------------
@@ -218,9 +214,6 @@ class OnlineVoiceprint:
             self.estimator.mark_illegitimate(identity)
         self._c_periods.inc()
         self._g_confirmed.set(len(self._confirmed))
-        stats = self.detector.pairwise_stats
-        if stats is not None:
-            self._g_hit_rate.set(stats.hit_rate)
         if self._confirmed:
             _log.info(
                 "sybil identities confirmed",

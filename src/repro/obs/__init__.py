@@ -39,7 +39,7 @@ pipeline, the simulators, and the evaluation harness:
   cross-process snapshot merge.
 * :mod:`repro.obs.audit` — a decision-provenance :class:`AuditLog`
   recording per-pair evidence (windows, normalisation stats, DTW
-  distance, margin, prune/cache provenance, verdict) for every
+  distance, margin, provenance, verdict) for every
   detection, with a bit-exact replay contract consumed by the
   ``repro explain`` forensics command (:mod:`repro.obs.explain`).
 * :mod:`repro.obs.tsdb` — :class:`TimeSeriesDB`, a bounded-memory

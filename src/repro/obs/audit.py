@@ -18,9 +18,8 @@ structured audit bundle:
   the float64 little-endian bytes, exact by construction),
 * per-pair decision evidence — raw / min–max-normalised / judged DTW
   distance, the signed margin ``(distance - threshold) / threshold``,
-  the provenance tag (``exact`` kernel run, ``cache-hit`` with the
-  cache-key digest, or ``pruned-*`` with the deciding bound), the flag,
-  and the confirmation outcome,
+  the provenance tag (``exact``: every distance is a kernel run), the
+  flag, and the confirmation outcome,
 * the detection context — density, threshold, band radius, kernel and
   normalisation configuration, ``scale_tag``.
 
@@ -60,6 +59,10 @@ from .paths import indexed_path
 __all__ = [
     "AuditLog",
     "DEFAULT_NEAR_MISS_EPSILON",
+    "PROV_ABANDON",
+    "PROV_CACHE",
+    "PROV_EXACT",
+    "PROV_INCREMENTAL",
     "SCHEMA_VERSION",
     "decode_window",
     "default_audit_log",
@@ -87,6 +90,18 @@ SCHEMA_VERSION = 1
 
 #: Snapshot format version for cross-process merge.
 SNAPSHOT_VERSION = 1
+
+#: Per-pair provenance tags.  The engine writes only ``exact``; bundles
+#: recorded by retired engine modes also carry ``cache-hit`` (the pair
+#: cache re-reported a stored exact distance), ``pruned-lower`` /
+#: ``pruned-upper`` / ``pruned-degenerate`` (bound pruning: the distance
+#: is the deciding bound), ``incremental-carry`` (the previous period's
+#: exact distance for an unchanged window) and ``early-abandon`` (a
+#: surrogate for a run stopped above its threshold).
+PROV_EXACT = "exact"
+PROV_CACHE = "cache-hit"
+PROV_INCREMENTAL = "incremental-carry"
+PROV_ABANDON = "early-abandon"
 
 #: Default near-miss margin: a verdict whose |signed margin| falls
 #: under this is "fragile" — the distance sat within 5 % of the
@@ -169,32 +184,6 @@ def decode_window(text: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(float)
 
 
-def _cache_key_digest(
-    key: Optional[tuple], memo: Dict[bytes, str]
-) -> Optional[str]:
-    """Loggable id for an engine cache key (None when uncached).
-
-    The raw key is ``(bytes_a, bytes_b, scale_tag)`` with the full
-    window bytes of both series — far too big to log, and hashing the
-    3 KiB concatenation per pair was the dominant audit-on hot-path
-    cost.  Instead each side's bytes are digested once per detection
-    (memoised across the O(n²) pairs that share them) and the key id is
-    the two truncated digests plus the scale tag — deterministic across
-    processes and runs, so a cache hit always reproduces the id of the
-    exact computation that populated the cache.
-    """
-    if key is None:
-        return None
-    bytes_a, bytes_b, scale_tag = key
-    digest_a = memo.get(bytes_a)
-    if digest_a is None:
-        digest_a = memo[bytes_a] = hashlib.sha256(bytes_a).hexdigest()
-    digest_b = memo.get(bytes_b)
-    if digest_b is None:
-        digest_b = memo[bytes_b] = hashlib.sha256(bytes_b).hexdigest()
-    return f"{digest_a[:24]}.{digest_b[:24]}.{scale_tag}"
-
-
 # ----------------------------------------------------------------------
 # Bundle construction (called from the detector hot path — keep lean)
 # ----------------------------------------------------------------------
@@ -203,7 +192,6 @@ def make_detection_bundle(
     config: Any,
     scale_tag: str,
     series: Dict[str, Dict[str, Any]],
-    provenance: Optional[Dict[Tuple[str, str], Dict[str, Any]]],
     observer: Optional[str],
     period: Optional[int],
     store_windows: bool = True,
@@ -219,8 +207,6 @@ def make_detection_bundle(
             "divisor": float}`` captured during normalisation.  A zero
             divisor marks the constant-series degenerate case where the
             normalised window is all zeros (z-score σ-floor).
-        provenance: Per-pair provenance from the engine (None ⇒ every
-            pair was an exact legacy-loop evaluation).
         observer: Observer id from :func:`get_audit_context`.
         period: Detection-period index from :func:`get_audit_context`.
         store_windows: Embed the raw window bytes (required for replay).
@@ -254,10 +240,8 @@ def make_detection_bundle(
         series_records[identity] = record
 
     pair_records: List[Dict[str, Any]] = []
-    key_memo: Dict[bytes, str] = {}
     for pair in sorted(raw):
         a, b = pair
-        pair_prov = (provenance or {}).get(pair) or {"tag": "exact"}
         pair_records.append(
             {
                 "a": a,
@@ -272,11 +256,7 @@ def make_detection_bundle(
                     float(judged[pair]) if pair in judged else None
                 ),
                 "margin": report.margins.get(pair),
-                "provenance": pair_prov["tag"],
-                "cache_key": _cache_key_digest(
-                    pair_prov.get("key"), key_memo
-                ),
-                "bound": pair_prov.get("bound"),
+                "provenance": PROV_EXACT,
                 "flagged": pair in flagged,
                 "confirmed_ids": [i for i in pair if i in sybil_ids],
             }
@@ -562,9 +542,6 @@ def _replay_engine(bundle: Dict[str, Any]) -> Any:
         use_exact_dtw=bundle["use_exact_dtw"],
         fastdtw_radius=bundle["fastdtw_radius"],
         normalize_by_path_length=bundle["normalize_by_path_length"],
-        pruning=False,
-        cache_size=0,
-        workers=0,
         registry=MetricsRegistry(),
     )
 
@@ -591,17 +568,17 @@ def replay_pair(bundle: Dict[str, Any], a: str, b: str) -> float:
 #: previous period's exact distance for a window that did not change,
 #: so replaying the recorded window reproduces it bit for bit just like
 #: a fresh ``exact`` record.
-_REPLAYABLE_PROVENANCE = ("exact", "incremental-carry")
+_REPLAYABLE_PROVENANCE = (PROV_EXACT, PROV_INCREMENTAL)
 
 
 def verify_bundle(bundle: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Replay every exact-valued pair of one bundle; one result row each.
 
     ``exact`` and ``incremental-carry`` records hold exact kernel
-    distances and are re-run through a fresh engine.  Pairs decided
-    from bounds or abandoned early are reported as skipped — their
-    recorded distance is a surrogate — and cache answers were already
-    verified when first computed.
+    distances and are re-run through a fresh engine.  Records of the
+    retired engine modes are reported as skipped: ``pruned-*`` and
+    ``early-abandon`` distances are surrogates, and a ``cache-hit``
+    re-reported a distance already verified when first computed.
     """
     results: List[Dict[str, Any]] = []
     for record in bundle.get("pairs", ()):

@@ -8,7 +8,8 @@ Given an audit log written by ``--audit-out`` (see
 * the DTW warping path with its per-step cost decomposition
   (:func:`repro.core.dtw.path_cost_steps` over the recorded windows),
 * the signed margin rendered as a distance-to-threshold bar,
-* the prune/cache provenance of the recorded distance,
+* the provenance of the recorded distance (bundles from retired engine
+  modes also show their cache key or deciding bound),
 * and, with ``--verify``, a bit-replay of every ``exact`` record
   through :mod:`repro.core.pairwise` (the contract check).
 

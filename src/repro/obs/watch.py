@@ -239,7 +239,6 @@ def render_dashboard(frame: WatchFrame, now: Optional[float] = None) -> str:
     margin_rows = [
         ("margin mean", "pipeline.margin.signed.tick_mean"),
         ("near-miss rate", "rate.margin_near_miss_rate"),
-        ("cache hit rate", "rate.pairwise_cache_hit_rate"),
         ("flagged-pair rate", "health.flagged_pair_rate"),
     ]
     present = [(label, name) for label, name in margin_rows if name in names]

@@ -85,7 +85,14 @@ def _splitmix64_np(state: np.ndarray) -> np.ndarray:
 
 
 def _cell_gaussian_np(seed: int, i: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Vectorised lattice Gaussians; bit-compatible with :func:`_cell_gaussian`."""
+    """Vectorised lattice Gaussians, within a few ulp of :func:`_cell_gaussian`.
+
+    The hashes and both uniforms are bit-identical to the scalar path,
+    but ``np.log``/``np.cos`` may round differently from
+    ``math.log``/``math.cos``, so a cell can differ in its last bits:
+    29 of 20,000 random cells differ, by at most 2 ulp (numpy 2.4 on
+    x86-64).  ``tests/test_radio_noise.py`` pins a 4-ulp bound.
+    """
     h = _splitmix64_np(np.full(i.shape, seed & _MASK64, dtype=np.uint64))
     for coord in (i, j, k):
         h = _splitmix64_np(h ^ coord.astype(np.int64).view(np.uint64))
@@ -159,9 +166,14 @@ class ValueNoise3D:
         """Vectorised :meth:`value` over arrays of points.
 
         ``t`` may be a scalar (all points share the instant) or an array
-        broadcastable against ``x``.  Bit-identical to the scalar path
-        (same hashes, same weights), so scalar and batch evaluation can
-        be mixed freely.
+        broadcastable against ``x``.  Same hashes, weights and summation
+        order as the scalar path, but the lattice Gaussians agree only
+        to a few ulp (see :func:`_cell_gaussian_np`), so a value can
+        differ from :meth:`value` by ~1e-16.  The simulators evaluate
+        their fields through this batch path only
+        (:meth:`SpatialNoiseField.unit_shadowing_matrix` and
+        :meth:`SpatialNoiseField.unit_shadowing_pairs`); never mix the
+        two paths where values must match bit for bit.
         """
         fx = np.asarray(x, dtype=float) / self.scale_x
         fy = np.asarray(y, dtype=float) / self.scale_y
@@ -178,7 +190,7 @@ class ValueNoise3D:
         wt = wt * wt * (3.0 - 2.0 * wt)
         # All eight cube corners hash in one call over a stacked
         # (8, ...) lattice; the sum then runs in the scalar path's
-        # corner order, so the result stays bit-identical to it.
+        # corner order.
         offsets = _CORNERS.reshape((8, 3) + (1,) * fx.ndim)
         lattice = _cell_gaussian_np(
             self.seed, i0 + offsets[:, 0], j0 + offsets[:, 1], k0 + offsets[:, 2]

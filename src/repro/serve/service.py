@@ -70,13 +70,6 @@ __all__ = ["ServiceConfig", "ReportEvent", "DetectionService"]
 _log = get_logger("serve.service")
 
 
-def _default_detector_config() -> DetectorConfig:
-    # The exact engine: one ragged native DTW call per detection.  It
-    # out-runs every bound/carry shortcut on the service's rechecks, and
-    # its reports carry true distances.
-    return DetectorConfig(pairwise_engine=True)
-
-
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tunables of one :class:`DetectionService`.
@@ -90,8 +83,7 @@ class ServiceConfig:
             shard falls behind) or ``"shed"`` (drop the incoming
             beacon, count it in ``serve.beacons_shed``).
         max_range_m: Eq. 9 density denominator for every pipeline.
-        detector_config: Comparison-phase tunables (default: the
-            exact pairwise engine).
+        detector_config: Comparison-phase tunables (default: Table V).
         pipeline_config: Scheduling/confirmation parameters shared by
             all per-observer pipelines.
         poll_interval_s: Sleep between :meth:`DetectionService.flush`
@@ -102,9 +94,7 @@ class ServiceConfig:
     queue_depth: int = 2048
     ingest_policy: str = "block"
     max_range_m: float = 650.0
-    detector_config: DetectorConfig = field(
-        default_factory=_default_detector_config
-    )
+    detector_config: DetectorConfig = field(default_factory=DetectorConfig)
     pipeline_config: OnlineVoiceprintConfig = field(
         default_factory=OnlineVoiceprintConfig
     )

@@ -19,7 +19,7 @@ BASELINE = payload(
     full={
         "wall_ms": 100.0,
         "pairs_per_s": 5000.0,
-        "hit_rate": 0.60,
+        "attributed_pct": 60.0,
         "dtw_cells": 1_000_000,
         "pairs": 276,
         "detections": 3,
@@ -54,10 +54,10 @@ class TestComparePayloads:
 
     def test_quality_metric_drop_regresses(self):
         current = payload(
-            full=dict(BASELINE["configs"]["full"], hit_rate=0.30)
+            full=dict(BASELINE["configs"]["full"], attributed_pct=30.0)
         )
         results = by_path(compare_payloads(BASELINE, current))
-        assert results["configs.full.hit_rate"].failed
+        assert results["configs.full.attributed_pct"].failed
 
     def test_invariant_metric_fails_both_directions(self):
         for pairs in (100, 400):
@@ -117,8 +117,8 @@ class TestComparePayloads:
         assert results["configs.full.dtw_cells"].failed
 
     def test_zero_baseline_handled(self):
-        base = payload(full={"cache_hits": 0})
-        grown = payload(full={"cache_hits": 50})
+        base = payload(full={"attributed_pct": 0})
+        grown = payload(full={"attributed_pct": 50})
         shrunk_cost = compare_payloads(
             payload(full={"dtw_cells": 0}), payload(full={"dtw_cells": 5})
         )

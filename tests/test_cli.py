@@ -504,9 +504,8 @@ class TestExplainCommand:
         assert "window  :" in out
 
     def test_pair_selector_shows_every_period(self, audit_log, capsys):
-        # --pair is a prefix of the top-level --pairwise-* flags; with
-        # abbreviation matching it would die as "ambiguous option"
-        # before reaching the explain subparser.
+        # --pair must reach the explain subparser even though the top
+        # level parses first (abbreviation matching is off).
         import json
 
         bundle = json.loads(Path(audit_log).read_text().splitlines()[0])
@@ -747,3 +746,21 @@ class TestTraceCommand:
             main(["serve", "--observers", "1", "--duration", "25"]) == 0
         )
         assert default_lineage() is None
+
+
+class TestPairwiseFlagsRemoved:
+    """The comparison engine has one mode, so its four flags are gone."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--pairwise", "naive"],
+            ["--pairwise-pruning", "on"],
+            ["--pairwise-cache", "0"],
+            ["--pairwise-workers", "2"],
+        ],
+    )
+    def test_flag_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*argv, "list"])
+        assert argv[0] + " " not in build_parser().format_help()

@@ -214,12 +214,15 @@ class TestPairDistance:
     """``repro timing`` times ``_pair_distance``: it must be the kernel
     ``detect()`` actually runs, with the same distances."""
 
+    # ``engine`` is the retired ``pairwise_engine`` flag: a deprecated
+    # no-op, so both settings run the one exact engine.
     @pytest.mark.parametrize("engine", [True, False])
     def test_equals_detect_distance(self, engine):
         streams = _synthetic_observations(np.random.default_rng(4))
+        with pytest.warns(DeprecationWarning, match="pairwise_engine"):
+            config = DetectorConfig(min_samples=50, pairwise_engine=engine)
         detector = VoiceprintDetector(
-            threshold=ConstantThreshold(0.1),
-            config=DetectorConfig(min_samples=50, pairwise_engine=engine),
+            threshold=ConstantThreshold(0.1), config=config
         )
         # Ragged windows, as packet loss leaves them.
         _feed(detector, "mal", streams["mal"][:187])
@@ -230,10 +233,7 @@ class TestPairDistance:
         assert got == report.raw_distances[("mal", "syb1")]
 
     def test_engine_runs_the_engine_kernel(self, monkeypatch):
-        detector = VoiceprintDetector(
-            threshold=ConstantThreshold(0.1),
-            config=DetectorConfig(pairwise_engine=True),
-        )
+        detector = VoiceprintDetector(threshold=ConstantThreshold(0.1))
         calls = []
         real = detector._engine.kernel_triples
 
@@ -296,7 +296,6 @@ class TestStaleIdentitySweep:
             config = DetectorConfig(
                 observation_time=20.0,
                 min_samples=2,
-                pairwise_engine=True,
                 pairwise_incremental=True,
             )
         detector = VoiceprintDetector(config=config)
@@ -304,7 +303,6 @@ class TestStaleIdentitySweep:
             detector.observe(f"car{i}", i * 0.1, -70.0)
         assert len(detector.heard_identities) <= 600
         engine = detector._engine
-        assert engine is not None
         assert not hasattr(engine, "_identity_states")
         assert not hasattr(engine, "_pair_states")
 

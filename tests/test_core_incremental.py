@@ -25,15 +25,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import pairwise
 from repro.core.detector import DetectorConfig, VoiceprintDetector
-from repro.core.pairwise import (
-    PROV_ABANDON,
-    PROV_EXACT,
-    PROV_INCREMENTAL,
-    PairwiseEngine,
-    set_engine_defaults,
-)
+from repro.core.pairwise import PairwiseEngine
 from repro.core.thresholds import ConstantThreshold
+from repro.obs.audit import PROV_ABANDON, PROV_EXACT, PROV_INCREMENTAL
 from repro.obs.metrics import MetricsRegistry
 
 _LEGACY_AUDIT = Path(__file__).parent / "data" / "audit_incremental_engine.jsonl"
@@ -101,11 +97,11 @@ class TestDetectorIncremental:
         t, streams = _sliding_scenario(rng)
         threshold = 0.1 if threshold_on == "normalized" else 0.01
         exact = _detector(
-            DetectorConfig(pairwise_engine=True, threshold_on=threshold_on),
+            DetectorConfig(threshold_on=threshold_on),
             threshold,
         )
         legacy = _detector(
-            _legacy_config(pairwise_engine=True, threshold_on=threshold_on),
+            _legacy_config(threshold_on=threshold_on),
             threshold,
         )
         _feed(exact, t, streams)
@@ -121,10 +117,8 @@ class TestDetectorIncremental:
     def test_disjoint_periods_report_bit_identical(self):
         rng = np.random.default_rng(42)
         t, streams = _sliding_scenario(rng, n_samples=450)
-        exact = _detector(DetectorConfig(pairwise_engine=True, observation_time=10.0))
-        legacy = _detector(
-            _legacy_config(pairwise_engine=True, observation_time=10.0)
-        )
+        exact = _detector(DetectorConfig(observation_time=10.0))
+        legacy = _detector(_legacy_config(observation_time=10.0))
         _feed(exact, t, streams)
         _feed(legacy, t, streams)
         for now in (10.0, 20.5, 31.0, 41.5):
@@ -137,11 +131,10 @@ class TestDetectorIncremental:
     def test_config_and_defaults_plumbing(self):
         with pytest.warns(DeprecationWarning):
             DetectorConfig(pairwise_incremental=False)
-        detector = _detector(_legacy_config(pairwise_engine=True))
-        assert detector._engine is not None
+        detector = _detector(_legacy_config())
         assert not hasattr(detector._engine, "can_incremental")
-        with pytest.raises(TypeError):
-            set_engine_defaults(incremental=True)
+        # No process-wide engine defaults remain to switch it back on.
+        assert not hasattr(pairwise, "set_engine_defaults")
 
 
 class TestFig11aGridIdentity:
@@ -166,13 +159,13 @@ class TestFig11aGridIdentity:
         )
 
     def test_serial_rows_identical(self):
-        want = self._rows(DetectorConfig(pairwise_engine=True))
-        got = self._rows(_legacy_config(pairwise_engine=True))
+        want = self._rows(DetectorConfig())
+        got = self._rows(_legacy_config())
         # Dataclass equality covers DR/FPR floats.
         assert got == want
 
     def test_parallel_rows_identical_to_serial(self):
-        config = _legacy_config(pairwise_engine=True)
+        config = _legacy_config()
         serial = self._rows(config)
         parallel = self._rows(config, workers=2)
         assert parallel == serial

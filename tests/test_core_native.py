@@ -3,17 +3,15 @@
 ``repro.core.native`` compiles a scalar anti-diagonal kernel at runtime
 that takes a *ragged* batch (per-pair lengths, band built in C), and
 ``dtw_banded_batch_abandon`` sends each batch to it in one call when
-available.  The contract under test is *bit-identity*: completed
-distances, path lengths, abandon evidence and relaxed-cell counts must
-match the numpy per-shape sweep (and, for completed pairs,
-:func:`dtw_banded_fast`) exactly, so the dispatch is invisible to every
-caller.  Native-specific tests skip cleanly on machines without a C
-toolchain; the numpy-path tests run everywhere.
+available.  The contract under test is *bit-identity*: distances, path
+lengths and relaxed-cell counts must match the numpy per-shape sweep
+and :func:`dtw_banded_fast` exactly, so the dispatch is invisible to
+every caller.  Native-specific tests skip cleanly on machines without a
+C toolchain; the numpy-path tests run everywhere.
 """
 
 import contextlib
 import dataclasses
-import math
 import os
 import subprocess
 import tempfile
@@ -28,8 +26,6 @@ from repro.core import pairwise
 from repro.core.fastdtw import dtw_banded_fast
 from repro.core.pairwise import PairwiseEngine, dtw_banded_batch_abandon
 from repro.obs.metrics import MetricsRegistry
-
-_INF = math.inf
 
 needs_native = pytest.mark.skipif(
     not native.native_available(), reason="no C toolchain on this machine"
@@ -64,11 +60,7 @@ class TestGating:
         assert not native.warmup()
         assert (
             native.abandon_batch_native(
-                np.asarray([[0, 5, 5, 5]], dtype=np.int64),
-                np.ones(10),
-                2,
-                np.asarray([_INF]),
-                8,
+                np.asarray([[0, 5, 5, 5]], dtype=np.int64), np.ones(10), 2
             )
             is None
         )
@@ -100,7 +92,7 @@ class TestGating:
         "kwargs,warmed",
         [
             ({"band_radius": 10}, True),
-            ({"band_radius": 10, "pruning": True}, True),
+            ({"band_radius": 0}, True),
             ({"band_radius": None}, False),
             ({"band_radius": 10, "use_exact_dtw": True}, False),
         ],
@@ -113,25 +105,19 @@ class TestGating:
 
     @needs_native
     @pytest.mark.parametrize(
-        "rows,thresholds,radius,stride",
+        "rows,radius",
         [
-            ([[0, 5, 5, 6]], [_INF], 2, 8),  # b runs one past the buffer
-            ([[-1, 5, 5, 5]], [_INF], 2, 8),  # negative offset
-            ([[0, 0, 5, 5]], [_INF], 2, 8),  # empty series
-            ([[0, 5, 5, 5]], [_INF, _INF], 2, 8),  # threshold count
-            ([[0, 5, 5, 5]], [_INF], -1, 8),  # radius
-            ([[0, 5, 5, 5]], [_INF], 2, 0),  # stride
-            ([0, 5, 5, 5], [_INF], 2, 8),  # not (count, 4)
+            ([[0, 5, 5, 6]], 2),  # b runs one past the buffer
+            ([[-1, 5, 5, 5]], 2),  # negative offset
+            ([[0, 0, 5, 5]], 2),  # empty series
+            ([[0, 5, 5, 5]], -1),  # radius
+            ([0, 5, 5, 5], 2),  # not (count, 4)
         ],
     )
-    def test_rejects_rows_outside_the_buffer(self, rows, thresholds, radius, stride):
+    def test_rejects_rows_outside_the_buffer(self, rows, radius):
         with pytest.raises(ValueError):
             native.abandon_batch_native(
-                np.asarray(rows, dtype=np.int64),
-                np.ones(10),
-                radius,
-                np.asarray(thresholds),
-                stride,
+                np.asarray(rows, dtype=np.int64), np.ones(10), radius
             )
 
     def test_source_tag_is_stable(self):
@@ -146,74 +132,32 @@ class TestAbandonKernelNumpyPath:
         "n,m,radius", [(120, 120, 10), (80, 100, 10), (40, 40, 3), (200, 200, 10)]
     )
     def test_infinite_thresholds_match_plain_batch(self, monkeypatch, n, m, radius):
+        # The kernel no longer takes thresholds: every run is the exact
+        # one an infinite threshold used to select.
         _force_numpy(monkeypatch)
         xs, ys = _batch(5, count=6, n=n, m=m)
-        thresholds = np.full(len(xs), _INF)
-        results, abandoned = dtw_banded_batch_abandon(xs, ys, radius, thresholds)
-        assert abandoned == {}
+        results = dtw_banded_batch_abandon(xs, ys, radius)
         assert results == [
             (ref.distance, len(ref.path), ref.cells)
             for ref in (dtw_banded_fast(x, y, radius) for x, y in zip(xs, ys))
         ]
 
-    def test_abandoned_evidence_is_a_true_lower_bound(self, monkeypatch):
-        _force_numpy(monkeypatch)
-        xs, ys = _batch(7, count=10, n=150, m=150)
-        exact = [dtw_banded_fast(x, y, 10).distance for x, y in zip(xs, ys)]
-        # A threshold between the cheap (sybil) and expensive pairs so
-        # the batch genuinely splits.
-        threshold = float(np.median(exact))
-        thresholds = np.full(len(xs), threshold)
-        results, abandoned = dtw_banded_batch_abandon(xs, ys, 10, thresholds)
-        assert abandoned  # the scenario must actually abandon something
-        total = pairwise.band_cells(150, 150, 10)
-        for index, triple in enumerate(results):
-            if triple is not None:
-                ref = dtw_banded_fast(xs[index], ys[index], 10)
-                assert triple == (ref.distance, len(ref.path), ref.cells)
-                assert index not in abandoned
-            else:
-                evidence, cells_done = abandoned[index]
-                # Proven lower bound, strictly above the threshold, and
-                # never exceeding the pair's true distance.
-                assert evidence > threshold
-                assert evidence <= exact[index]
-                assert 0 < cells_done < total
-
-    def test_mixed_thresholds(self, monkeypatch):
-        _force_numpy(monkeypatch)
-        xs, ys = _batch(9, count=6, n=100, m=100)
-        exact = [dtw_banded_fast(x, y, 10).distance for x, y in zip(xs, ys)]
-        thresholds = np.asarray(
-            [_INF if index % 2 else 0.5 * exact[index] for index in range(6)]
-        )
-        results, abandoned = dtw_banded_batch_abandon(xs, ys, 10, thresholds)
-        for index in range(1, 6, 2):  # infinite thresholds never abandon
-            assert results[index] is not None
-        for index, (evidence, _cells) in abandoned.items():
-            assert evidence > thresholds[index]
-
     def test_rejects_mismatched_batches(self):
         with pytest.raises(ValueError):
-            dtw_banded_batch_abandon(
-                [np.ones(5)], [np.ones(5)] * 2, 2, np.asarray([_INF])
-            )
+            dtw_banded_batch_abandon([np.ones(5)], [np.ones(5)] * 2, 2)
         with pytest.raises(ValueError):
-            dtw_banded_batch_abandon(
-                [np.ones(5)], [np.ones(5)], 2, np.asarray([_INF, _INF])
-            )
+            dtw_banded_batch_abandon([np.ones(5)], [np.ones(5)], -1)
 
     def test_degenerate_shapes_run_exact(self):
         xs = [np.asarray([1.0]), np.asarray([2.0])]
         ys = [np.asarray([1.5, 2.5]), np.asarray([0.0, 1.0])]
-        results, abandoned = dtw_banded_batch_abandon(xs, ys, 2, np.full(2, 0.0))
-        assert abandoned == {}
+        results = dtw_banded_batch_abandon(xs, ys, 2)
         for triple, x, y in zip(results, xs, ys):
             ref = dtw_banded_fast(x, y, 2)
             assert triple == (ref.distance, len(ref.path), ref.cells)
 
     def test_empty_batch(self):
-        assert dtw_banded_batch_abandon([], [], 5, np.empty(0)) == ([], {})
+        assert dtw_banded_batch_abandon([], [], 5) == []
 
 
 @needs_native
@@ -225,39 +169,22 @@ class TestNativeBitIdentity:
     )
     def test_completed_pairs(self, monkeypatch, n, m, radius):
         xs, ys = _batch(11, count=6, n=n, m=m)
-        thresholds = np.full(len(xs), _INF)
-        got, got_dead = dtw_banded_batch_abandon(xs, ys, radius, thresholds)
+        got = dtw_banded_batch_abandon(xs, ys, radius)
         _force_numpy(monkeypatch)
-        want, want_dead = dtw_banded_batch_abandon(xs, ys, radius, thresholds)
+        want = dtw_banded_batch_abandon(xs, ys, radius)
         assert got == want  # == on float triples: bit-identity
-        assert got_dead == want_dead == {}
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_abandoned_pairs(self, monkeypatch, seed):
-        xs, ys = _batch(seed, count=12, n=150, m=150)
-        exact = [dtw_banded_fast(x, y, 10).distance for x, y in zip(xs, ys)]
-        thresholds = np.full(len(xs), float(np.median(exact)))
-        got, got_dead = dtw_banded_batch_abandon(xs, ys, 10, thresholds)
-        _force_numpy(monkeypatch)
-        want, want_dead = dtw_banded_batch_abandon(xs, ys, 10, thresholds)
-        assert got_dead  # the scenario must actually abandon something
-        assert got == want
-        # Same pairs die at the same checkpoint with the same evidence
-        # and the same relaxed-cell count.
-        assert got_dead == want_dead
-
-    def test_single_pair_exact_run(self, monkeypatch):
-        # The engine's run_exact path: a one-pair batch at an infinite
-        # threshold must reproduce the scalar kernel bit for bit.
+    def test_single_pair_exact_run(self):
+        # A one-pair batch (``repro timing``'s pair) must reproduce the
+        # scalar kernel bit for bit.
         rng = np.random.default_rng(17)
         x, y = rng.normal(size=200), rng.normal(size=200)
-        (triple,), dead = dtw_banded_batch_abandon([x], [y], 10, np.asarray([_INF]))
+        (triple,) = dtw_banded_batch_abandon([x], [y], 10)
         ref = dtw_banded_fast(x, y, 10)
-        assert dead == {}
         assert triple == (ref.distance, len(ref.path), ref.cells)
 
 
-def _ragged(seed, count=10, radius=10):
+def _ragged(seed, count=10):
     """Ragged batch: per-identity lengths as packet loss produces, with
     identities shared across pairs and some one/two-sample windows."""
     rng = np.random.default_rng(seed)
@@ -271,27 +198,21 @@ def _ragged(seed, count=10, radius=10):
             pool.append(rng.normal(size=n))
     xs = [pool[int(rng.integers(0, 6))] for _ in range(count)]
     ys = [pool[int(rng.integers(0, 6))] for _ in range(count)]
-    exact = [dtw_banded_fast(x, y, radius).distance for x, y in zip(xs, ys)]
-    # Thresholds below, at and above each pair's accumulated cost.
-    scale = rng.choice([0.5, 1.0, 2.0, 0.0], size=count)
-    thresholds = np.asarray(exact) * scale
-    thresholds[scale == 0.0] = _INF
-    return xs, ys, thresholds
+    return xs, ys
 
 
 class TestRaggedBatch:
     @pytest.mark.parametrize("radius", [0, 1, 3, 10])
     @pytest.mark.parametrize("seed", range(6))
     def test_native_and_numpy_agree(self, monkeypatch, seed, radius):
-        xs, ys, thresholds = _ragged(seed, radius=radius)
-        got = dtw_banded_batch_abandon(xs, ys, radius, thresholds)
+        xs, ys = _ragged(seed)
+        got = dtw_banded_batch_abandon(xs, ys, radius)
         _force_numpy(monkeypatch)
-        want = dtw_banded_batch_abandon(xs, ys, radius, thresholds)
+        want = dtw_banded_batch_abandon(xs, ys, radius)
         assert got == want
-        for index, triple in enumerate(got[0]):
-            if triple is not None:
-                ref = dtw_banded_fast(xs[index], ys[index], radius)
-                assert triple == (ref.distance, len(ref.path), ref.cells)
+        for triple, x, y in zip(got, xs, ys):
+            ref = dtw_banded_fast(x, y, radius)
+            assert triple == (ref.distance, len(ref.path), ref.cells)
 
     @needs_native
     def test_one_native_call_per_batch(self, monkeypatch):
@@ -303,8 +224,8 @@ class TestRaggedBatch:
             return real(*args)
 
         monkeypatch.setattr(pairwise, "abandon_batch_native", spy)
-        xs, ys, thresholds = _ragged(4, count=16)
-        dtw_banded_batch_abandon(xs, ys, 10, thresholds)
+        xs, ys = _ragged(4, count=16)
+        dtw_banded_batch_abandon(xs, ys, 10)
         assert calls == [16]
 
     @needs_native
@@ -318,9 +239,8 @@ class TestRaggedBatch:
 
         monkeypatch.setattr(pairwise, "abandon_batch_native", spy)
         x, y, z = np.ones(7), np.zeros(5), np.arange(3.0)
-        dtw_banded_batch_abandon([x, x, y], [y, z, z], 2, np.full(3, _INF))
+        dtw_banded_batch_abandon([x, x, y], [y, z, z], 2)
         assert seen == [15]
-
 
     def test_band_grid_matches_scalar(self):
         # Every (n, m, radius) of a grid in one ragged call: the band the
@@ -331,10 +251,7 @@ class TestRaggedBatch:
             shapes = [(n, m) for n in range(1, 49) for m in range(1, 49, 5)]
             xs = [pool[n] for n, _ in shapes]
             ys = [pool[m][::-1].copy() for _, m in shapes]
-            got, dead = dtw_banded_batch_abandon(
-                xs, ys, radius, np.full(len(shapes), _INF)
-            )
-            assert dead == {}
+            got = dtw_banded_batch_abandon(xs, ys, radius)
             for triple, x, y in zip(got, xs, ys):
                 ref = dtw_banded_fast(x, y, radius)
                 assert triple == (ref.distance, len(ref.path), ref.cells)
@@ -380,60 +297,37 @@ def _periods(seed, lengths, shift):
     return periods
 
 
-def _engine_outputs(periods, radius, cutoff, threshold_on, thresholds_scale):
-    """Everything the engine entry points report, plus raw triples."""
-    out = []
+def _engine_outputs(periods, radius):
+    """Everything the engine reports, plus raw kernel triples."""
     first = periods[0]
     ids = sorted(first)
     xs = [first[a] for i, a in enumerate(ids) for _ in ids[i + 1 :]]
     ys = [first[b] for i, _ in enumerate(ids) for b in ids[i + 1 :]]
-
-    def engine(**kwargs):
-        return PairwiseEngine(
-            band_radius=radius, cache_size=0, registry=MetricsRegistry(), **kwargs
-        )
-
-    exact = engine().kernel_triples(xs, ys)
-    out.append(exact)
-    thresholds = np.full(len(exact), _INF)
-    if thresholds_scale != _INF:
-        thresholds = np.asarray([t[0] for t in exact]) * thresholds_scale
-    out.append(dtw_banded_batch_abandon(xs, ys, radius, thresholds))
+    engine = PairwiseEngine(band_radius=radius, registry=MetricsRegistry())
+    out = [engine.kernel_triples(xs, ys), dtw_banded_batch_abandon(xs, ys, radius)]
     for period in periods:
-        distances, stats = engine().compare(period)
+        distances, stats = engine.compare(period)
         out.append((distances, dataclasses.astuple(stats)))
-        decided = engine(pruning=True).compare_decided(
-            period, None, "", cutoff, threshold_on
-        )
-        out.append(decided[:2] + (dataclasses.astuple(decided[2]),))
     return out
 
 
 @needs_native
 class TestEngineNativeVsNumpy:
-    """compare / compare_decided report the same bits with the C
-    library and under ``REPRO_NATIVE=0``."""
+    """The engine reports the same bits with the C library and under
+    ``REPRO_NATIVE=0``."""
 
     @given(
         lengths=st.lists(st.integers(1, 45), min_size=2, max_size=7),
         seed=st.integers(0, 2**16),
         radius=st.integers(0, 8),
         shift=st.integers(0, 6),
-        cutoff=st.floats(-0.2, 1.2),
-        threshold_on=st.sampled_from(["normalized", "raw"]),
-        scale=st.sampled_from([0.5, 1.0, 2.0, _INF]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_bit_identical(
-        self, lengths, seed, radius, shift, cutoff, threshold_on, scale
-    ):
+    def test_bit_identical(self, lengths, seed, radius, shift):
         periods = _periods(seed, lengths, shift)
-        if threshold_on == "raw":
-            cutoff = abs(cutoff)  # raw distances are non-negative
-        args = (periods, radius, cutoff, threshold_on, scale)
-        got = _engine_outputs(*args)
+        got = _engine_outputs(periods, radius)
         with _numpy_backend():
             assert not native.native_available()
-            want = _engine_outputs(*args)
+            want = _engine_outputs(periods, radius)
         assert native.native_available()
         assert got == want

@@ -1,9 +1,12 @@
-"""Tests for repro.core.pairwise — kernels, bounds, cache, pruning.
+"""Tests for repro.core.pairwise — the ragged kernel and the exact engine.
 
-The engine's contract is *bit-equality*: everything it answers (kernel
-distances, cached values, flag sets under pruning) must be exactly what
-the legacy per-pair scalar loop would have produced, not merely close.
-The property tests below therefore compare with ``==`` on floats.
+The engine's contract is *bit-equality*: every distance it reports, and
+hence every flag set and margin ``detect()`` derives from them, must be
+exactly what a per-pair scalar loop over
+:func:`~repro.core.fastdtw.dtw_banded_fast`, :func:`~repro.core.fastdtw.fastdtw`
+or :func:`~repro.core.dtw.dtw` would have produced, not merely close.
+The tests below therefore compare with ``==`` on floats, against a
+reference loop that lives here, in the tests.
 """
 
 import numpy as np
@@ -14,19 +17,16 @@ from hypothesis import strategies as st
 from repro.core.detector import DetectorConfig, VoiceprintDetector
 from repro.core.dtw import dtw
 from repro.core.fastdtw import dtw_banded_fast, fastdtw
-from repro.core.normalization import minmax_distances
+from repro.core.normalization import minmax_distances, zscore
 from repro.core.pairwise import (
     PairwiseEngine,
     band_cells,
-    dtw_band_lower_bound,
-    dtw_band_upper_bound,
     dtw_banded_batch,
     dtw_banded_batch_abandon,
-    get_engine_defaults,
-    lb_kim,
-    set_engine_defaults,
 )
 from repro.core.thresholds import ConstantThreshold
+from repro.core.timeseries import RSSITimeSeries
+from repro.obs.audit import signed_margin
 from repro.obs.metrics import MetricsRegistry
 
 _series = st.lists(
@@ -67,13 +67,9 @@ def _scenario_arrays(rng, n_ids=6, n_min=80, n_max=220, similar=2):
 
 def _ragged_one(x, y, radius):
     """One pair through the engine's exact ragged kernel."""
-    (triple,), abandoned = dtw_banded_batch_abandon(
-        [np.asarray(x, dtype=float)],
-        [np.asarray(y, dtype=float)],
-        radius,
-        np.asarray([np.inf]),
+    (triple,) = dtw_banded_batch_abandon(
+        [np.asarray(x, dtype=float)], [np.asarray(y, dtype=float)], radius
     )
-    assert abandoned == {}
     return triple
 
 
@@ -143,27 +139,7 @@ class TestBatchKernel:
 
 
 class TestBounds:
-    @given(x=_series, y=_series, radius=st.integers(0, 12))
-    @settings(max_examples=80, deadline=None)
-    def test_sandwich_banded_dtw(self, x, y, radius):
-        xa, ya = np.array(x), np.array(y)
-        distance = dtw_banded_fast(xa, ya, radius).distance
-        lower = dtw_band_lower_bound(xa, ya, radius)
-        upper, upper_len = dtw_band_upper_bound(xa, ya, radius)
-        assert lb_kim(xa, ya) <= distance + 1e-9
-        assert lower <= distance + 1e-9
-        assert distance <= upper + 1e-9
-        assert max(len(x), len(y)) <= upper_len <= len(x) + len(y) - 1
-
-    @given(x=_series, radius=st.integers(0, 12), seed=st.integers(0, 10**6))
-    @settings(max_examples=40, deadline=None)
-    def test_equal_length_upper_bound_is_euclidean(self, x, radius, seed):
-        xa = np.array(x)
-        ya = xa + np.random.default_rng(seed).normal(size=xa.size)
-        upper, upper_len = dtw_band_upper_bound(xa, ya, radius)
-        euclid = float(((xa - ya) ** 2).sum())
-        assert upper == pytest.approx(euclid, abs=1e-12)
-        assert upper_len == xa.size
+    """The band's extent bounds the kernel's work."""
 
     def test_band_cells_matches_kernel_work(self):
         rng = np.random.default_rng(5)
@@ -175,12 +151,10 @@ class TestEngineCompare:
     def test_bit_equal_to_naive_loop(self):
         rng = np.random.default_rng(9)
         arrays = _scenario_arrays(rng)
-        engine = PairwiseEngine(band_radius=10, cache_size=64, registry=_registry())
-        keys = {k: v.tobytes() for k, v in arrays.items()}
-        distances, stats = engine.compare(arrays, keys, "tag")
+        engine = PairwiseEngine(band_radius=10, registry=_registry())
+        distances, stats = engine.compare(arrays)
         assert distances == _naive_distances(arrays)
         assert stats.pairs == stats.exact == len(distances)
-        assert stats.cache_hits == 0
 
     @pytest.mark.parametrize(
         "engine_kwargs,ref",
@@ -212,58 +186,33 @@ class TestEngineCompare:
     def test_cache_hits_and_counters(self):
         rng = np.random.default_rng(11)
         arrays = {k: rng.normal(size=150) for k in "abcd"}
-        keys = {k: v.tobytes() for k, v in arrays.items()}
         registry = _registry()
-        engine = PairwiseEngine(band_radius=10, cache_size=32, registry=registry)
-        first, stats1 = engine.compare(arrays, keys, "s")
-        second, stats2 = engine.compare(arrays, keys, "s")
-        assert second == first
-        assert stats2.cache_hits == 6 and stats2.exact == 0 and stats2.cells == 0
-        assert stats2.cells_saved == stats1.cells
-        assert registry.counter("detector.cache_hits").value == 6
+        engine = PairwiseEngine(band_radius=10, registry=registry)
+        first, stats1 = engine.compare(arrays)
+        second, stats2 = engine.compare(arrays)
+        # Nothing is reused between calls: a repeat recomputes every
+        # pair, and the retired modes' fields (kept for readers of the
+        # stats) read 0.
+        assert second == first and stats2 == stats1
+        assert stats2.cache_hits == stats2.pruned == stats2.abandoned == 0
+        assert stats1.cells == 6 * band_cells(150, 150, 10)
         assert registry.counter("detector.pairs_compared").value == 12
-        assert registry.counter("detector.dtw_cells").value == stats1.cells
+        assert registry.counter("detector.pairs_exact").value == 12
+        assert registry.counter("detector.dtw_cells").value == 2 * stats1.cells
+        assert engine.stats.pairs == 12 and engine.stats.cells == 2 * stats1.cells
 
-    def test_scale_tag_invalidates_cache(self):
-        rng = np.random.default_rng(12)
-        arrays = {k: rng.normal(size=100) for k in "ab"}
-        keys = {k: v.tobytes() for k, v in arrays.items()}
-        engine = PairwiseEngine(band_radius=10, cache_size=32, registry=_registry())
-        engine.compare(arrays, keys, "scale-A")
-        _, stats = engine.compare(arrays, keys, "scale-B")
-        assert stats.cache_hits == 0 and stats.exact == 1
-
-    def test_lru_eviction(self):
-        rng = np.random.default_rng(13)
-        arrays = {k: rng.normal(size=100) for k in "abc"}  # 3 pairs
-        keys = {k: v.tobytes() for k, v in arrays.items()}
-        engine = PairwiseEngine(band_radius=10, cache_size=2, registry=_registry())
-        engine.compare(arrays, keys, "s")
-        assert engine.cache_len == 2  # oldest pair evicted
-        _, stats = engine.compare(arrays, keys, "s")
-        assert 0 < stats.cache_hits < 3
-
-    def test_cache_disabled(self):
-        rng = np.random.default_rng(14)
-        arrays = {k: rng.normal(size=100) for k in "ab"}
-        engine = PairwiseEngine(band_radius=10, cache_size=0, registry=_registry())
-        assert not engine.cache_enabled
-        _, stats1 = engine.compare(arrays, {k: v.tobytes() for k, v in arrays.items()}, "s")
-        _, stats2 = engine.compare(arrays, {k: v.tobytes() for k, v in arrays.items()}, "s")
-        assert stats1.cache_misses == 0 and stats2.cache_hits == 0
-        assert stats2.exact == 1
-
-    def test_workers_match_inline(self):
-        rng = np.random.default_rng(15)
-        arrays = _scenario_arrays(rng, n_ids=7)
-        inline = PairwiseEngine(band_radius=10, workers=0, registry=_registry())
-        pooled = PairwiseEngine(band_radius=10, workers=2, registry=_registry())
-        got_inline, _ = inline.compare(arrays)
-        got_pooled, _ = pooled.compare(arrays)
-        assert got_pooled == got_inline
+    def test_fewer_than_two_identities(self):
+        engine = PairwiseEngine(registry=_registry())
+        for arrays in ({}, {"a": np.ones(5)}):
+            distances, stats = engine.compare(arrays)
+            assert distances == {} and stats.pairs == 0
 
 
 class TestCompareDecided:
+    """The flag sets the retired ``compare_decided`` had to reproduce,
+    now from ``compare()`` plus the threshold rule, over a cutoff sweep;
+    the entry point itself is a stub."""
+
     @pytest.mark.parametrize("threshold_on", ["normalized", "raw"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_flags_identical_to_naive(self, threshold_on, seed):
@@ -279,78 +228,29 @@ class TestCompareDecided:
             if threshold_on == "normalized"
             else [0.0, values[0], values[len(values) // 2], values[-1] * 2]
         )
+        engine = PairwiseEngine(band_radius=10, registry=_registry())
+        raw, _ = engine.compare(arrays)
+        mine = minmax_distances(raw) if threshold_on == "normalized" else raw
         for cutoff in cutoffs:
-            engine = PairwiseEngine(
-                band_radius=10, pruning=True, cache_size=0, registry=_registry()
-            )
-            distances, flags, stats = engine.compare_decided(
-                arrays, None, "", cutoff, threshold_on
-            )
+            flags = {p: d <= cutoff for p, d in mine.items()}
             assert flags == {p: d <= cutoff for p, d in judged.items()}
-            assert stats.exact + stats.pruned == stats.pairs
-            if threshold_on == "normalized":
-                # Normalized mode resolves the min-max anchors exactly,
-                # so the report's extremes match the naive loop even
-                # when other pairs carry bound surrogates.
-                assert min(distances.values()) == min(naive_raw.values())
-                assert max(distances.values()) == max(naive_raw.values())
-
-    def test_surrogates_stay_on_correct_side(self):
-        # Two tight clusters far apart: within-cluster pairs are decided
-        # by the upper bound, cross-cluster pairs by the lower bound.
-        rng = np.random.default_rng(21)
-        wave = np.sin(np.linspace(0.0, 12.0, 200))
-        arrays = {}
-        for i in range(3):
-            arrays[f"near{i}"] = wave + rng.normal(scale=0.01, size=200)
-        for i in range(3):
-            arrays[f"far{i}"] = wave[::-1] + 100.0 * (i + 1) + rng.normal(
-                scale=0.01, size=200
-            )
-        cutoff = 0.3
-        engine = PairwiseEngine(
-            band_radius=10, pruning=True, cache_size=0, registry=_registry()
-        )
-        distances, flags, stats = engine.compare_decided(
-            arrays, None, "", cutoff, "normalized"
-        )
-        assert stats.pruned > 0  # the scenario must actually exercise pruning
-        naive_judged = minmax_distances(_naive_distances(arrays))
-        assert flags == {p: d <= cutoff for p, d in naive_judged.items()}
-        # Surrogates must land on their flag's side of the threshold
-        # even after re-normalising the mixed exact/surrogate report.
-        normalised = minmax_distances(distances)
-        for pair, flag in flags.items():
-            assert (normalised[pair] <= cutoff) == flag
 
     def test_degenerate_identical_series(self):
         base = np.sin(np.linspace(0, 6, 120))
         arrays = {k: base.copy() for k in "abc"}
-        engine = PairwiseEngine(
-            band_radius=10, pruning=True, cache_size=0, registry=_registry()
-        )
-        _, flags, _ = engine.compare_decided(arrays, None, "", 0.0, "normalized")
-        assert all(flags.values())  # min-max degenerates to all-zero
-
-    def test_cached_pairs_count_as_exact(self):
-        rng = np.random.default_rng(22)
-        arrays = _scenario_arrays(rng, n_ids=5)
-        keys = {k: v.tobytes() for k, v in arrays.items()}
-        engine = PairwiseEngine(
-            band_radius=10, pruning=True, cache_size=32, registry=_registry()
-        )
-        engine.compare(arrays, keys, "s")  # warm the cache
-        distances, flags, stats = engine.compare_decided(
-            arrays, keys, "s", 0.3, "normalized"
-        )
-        assert stats.cache_hits == stats.pairs and stats.exact == 0
-        assert distances == _naive_distances(arrays)
+        engine = PairwiseEngine(band_radius=10, registry=_registry())
+        raw, _ = engine.compare(arrays)
+        # min-max degenerates to all-zero, so a zero cutoff flags all.
+        assert all(d <= 0.0 for d in minmax_distances(raw).values())
 
     def test_requires_banded_pruning(self):
-        engine = PairwiseEngine(band_radius=None, pruning=True, registry=_registry())
-        assert not engine.can_prune
-        with pytest.raises(RuntimeError):
-            engine.compare_decided({}, None, "", 0.0, "normalized")
+        # Pruning is gone, so the retired entry point raises on every
+        # engine; the name stays resolvable through the class dict.
+        for radius in (10, None):
+            engine = PairwiseEngine(band_radius=radius, registry=_registry())
+            with pytest.raises(RuntimeError, match="retired"):
+                engine.compare_decided({}, None, "", 0.0, "normalized")
+        assert "compare_decided" in PairwiseEngine.__dict__
 
 
 def _feed(detector, identity, values, start=0.0, interval=0.1):
@@ -378,100 +278,149 @@ def _synthetic_observations(rng, n_samples=200):
     return streams
 
 
-def _detector(registry=None, **config_kwargs):
+def _detector(registry=None, threshold=0.1, **config_kwargs):
     return VoiceprintDetector(
-        threshold=ConstantThreshold(0.1),
+        threshold=ConstantThreshold(threshold),
         config=DetectorConfig(**config_kwargs),
         registry=registry or _registry(),
     )
+
+
+def _reference_report(windows, config, cutoff):
+    """``(raw, flagged pairs, margins)`` of one detection, computed
+    pair by pair with the scalar kernels.
+
+    ``windows`` maps identity to its raw window; ``config`` picks the
+    normalisation, the kernel and the thresholded distance exactly as
+    :class:`DetectorConfig` documents them.
+    """
+    k = config.sigma_multiplier
+    if config.scale_mode == "median":
+        scale = k * max(float(np.median([float(np.std(v)) for v in windows.values()])), 1e-9)
+        normalised = {i: (v - float(np.mean(v))) / scale for i, v in windows.items()}
+    else:
+        normalised = {i: zscore(v, sigma_multiplier=k) for i, v in windows.items()}
+    if config.use_exact_dtw:
+        kernel = dtw
+    elif config.band_radius_samples is None:
+        kernel = lambda x, y: fastdtw(x, y, radius=config.fastdtw_radius)  # noqa: E731
+    else:
+        kernel = lambda x, y: dtw_banded_fast(x, y, config.band_radius_samples)  # noqa: E731
+    ids = sorted(normalised)
+    raw = {}
+    for index, a in enumerate(ids):
+        for b in ids[index + 1 :]:
+            result = kernel(normalised[a], normalised[b])
+            raw[(a, b)] = (
+                result.distance / len(result.path)
+                if config.normalize_by_path_length
+                else result.distance
+            )
+    judged = minmax_distances(raw) if config.threshold_on == "normalized" else raw
+    flagged = tuple(pair for pair, d in sorted(judged.items()) if d <= cutoff)
+    margins = {pair: signed_margin(d, cutoff) for pair, d in judged.items()}
+    return raw, flagged, margins
+
+
+def _assert_matches_reference(detector, windows, cutoff, now=None):
+    report = detector.detect(density=40.0, now=now)
+    raw, flagged, margins = _reference_report(windows, detector.config, cutoff)
+    assert report.raw_distances == raw
+    assert report.sybil_pairs == flagged
+    assert report.sybil_ids == frozenset(i for pair in flagged for i in pair)
+    assert report.margins == margins
+    return report
+
+
+_KERNEL_MODES = {
+    "banded": {},
+    "banded-raw-sum": {"normalize_by_path_length": False},
+    "fastdtw": {"band_radius_samples": None},
+    "exact-dtw": {"use_exact_dtw": True},
+}
+
+
+class TestDetectDifferential:
+    """``detect()`` against the scalar reference loop: raw distances,
+    flag sets and margins equal bit for bit, for every kernel mode,
+    both thresholded distances and both scale modes — with the native
+    kernel and under ``REPRO_NATIVE=0`` alike."""
+
+    @given(
+        # A few shared lengths: ragged batches that also give the numpy
+        # fallback whole (n, m) shape groups to sweep.
+        lengths=st.lists(st.sampled_from([2, 17, 30]), min_size=2, max_size=8),
+        copies=st.integers(0, 2),
+        seed=st.integers(0, 2**16),
+        mode=st.sampled_from(sorted(_KERNEL_MODES)),
+        threshold_on=st.sampled_from(["normalized", "raw"]),
+        scale_mode=st.sampled_from(["median", "per-series"]),
+        radius=st.integers(0, 12),
+        cutoff=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_detect_matches_reference_loop(
+        self, lengths, copies, seed, mode, threshold_on, scale_mode, radius, cutoff
+    ):
+        rng = np.random.default_rng(seed)
+        walk = -70.0 + np.cumsum(rng.normal(0.0, 1.0, max(lengths)))
+        windows = {}
+        for index, size in enumerate(lengths):
+            if index < copies:
+                # Sybil-like: one radio's waveform under fresh noise.
+                values = walk[:size] + rng.normal(0.0, 0.2, size) + 3.0 * index
+            else:
+                values = -70.0 + np.cumsum(rng.normal(0.0, 1.0, size))
+            windows[f"id{index}"] = np.round(values)  # RSSI is integral dBm
+        config_kwargs = dict(
+            observation_time=100.0,
+            min_samples=2,
+            band_radius_samples=radius,
+            threshold_on=threshold_on,
+            scale_mode=scale_mode,
+        )
+        config_kwargs.update(_KERNEL_MODES[mode])
+        detector = _detector(threshold=cutoff, **config_kwargs)
+        for identity, values in windows.items():
+            series = RSSITimeSeries(identity)
+            for step, value in enumerate(values):
+                series.append(0.1 * step, float(value))
+            detector.load_series(series)
+        _assert_matches_reference(detector, windows, cutoff, now=4.0)
 
 
 class TestDetectorIntegration:
     @pytest.mark.parametrize("scale_mode", ["median", "per-series"])
     @pytest.mark.parametrize("threshold_on", ["normalized", "raw"])
     def test_engine_report_bit_identical_to_legacy(self, scale_mode, threshold_on):
+        # "Legacy" is the per-pair scalar loop, now the test-side
+        # reference rather than a detector mode.
         rng = np.random.default_rng(31)
         streams = _synthetic_observations(rng)
-        kwargs = {"scale_mode": scale_mode, "threshold_on": threshold_on}
-        legacy = _detector(pairwise_engine=False, **kwargs)
-        engine = _detector(pairwise_engine=True, **kwargs)
-        for name, values in streams.items():
-            _feed(legacy, name, values)
-            _feed(engine, name, values)
-        want = legacy.detect(density=40.0)
-        got = engine.detect(density=40.0)
-        assert got.raw_distances == want.raw_distances
-        assert got.distances == want.distances
-        assert got.sybil_pairs == want.sybil_pairs
-        assert got.sybil_ids == want.sybil_ids
-
-    @pytest.mark.parametrize("threshold_on", ["normalized", "raw"])
-    def test_pruned_detect_flags_identical_to_legacy(self, threshold_on):
-        rng = np.random.default_rng(32)
-        streams = _synthetic_observations(rng)
-        legacy = _detector(pairwise_engine=False, threshold_on=threshold_on)
-        registry = _registry()
-        pruned = _detector(
-            registry,
-            pairwise_engine=True,
-            pairwise_pruning=True,
-            threshold_on=threshold_on,
-        )
-        for name, values in streams.items():
-            _feed(legacy, name, values)
-            _feed(pruned, name, values)
-        want = legacy.detect(density=40.0)
-        got = pruned.detect(density=40.0)
-        assert got.sybil_pairs == want.sybil_pairs
-        assert got.sybil_ids == want.sybil_ids
-        stats = pruned.pairwise_stats
-        assert stats is not None
-        assert stats.exact + stats.pruned + stats.cache_hits == stats.pairs
-        assert (
-            registry.counter("detector.pairs_compared").value == stats.pairs
-        )
-
-    def test_repeat_detect_hits_cache(self):
-        rng = np.random.default_rng(33)
-        streams = _synthetic_observations(rng)
-        registry = _registry()
-        detector = _detector(registry, pairwise_engine=True)
+        detector = _detector(scale_mode=scale_mode, threshold_on=threshold_on)
         for name, values in streams.items():
             _feed(detector, name, values)
-        first = detector.detect(density=40.0)
-        cells_after_first = registry.counter("detector.dtw_cells").value
-        second = detector.detect(density=40.0)
-        assert second.raw_distances == first.raw_distances
-        assert second.sybil_pairs == first.sybil_pairs
-        assert registry.counter("detector.dtw_cells").value == cells_after_first
-        assert registry.counter("detector.cache_hits").value == len(
-            first.raw_distances
-        )
-
-    def test_pairwise_stats_none_on_legacy_path(self):
-        assert _detector(pairwise_engine=False).pairwise_stats is None
+        report = _assert_matches_reference(detector, streams, 0.1)
+        assert report.distances == minmax_distances(report.raw_distances)
 
     @pytest.mark.parametrize(
         "kwargs",
         [{"pairwise_cache_size": -1}, {"pairwise_workers": -2}],
     )
     def test_config_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        # The cache and thread-pool knobs are gone: an old caller's
+        # setting fails loudly instead of being silently ignored.
+        with pytest.raises(TypeError):
             DetectorConfig(**kwargs)
 
-    def test_process_defaults_plumbing(self):
-        previous = set_engine_defaults(engine=False, pruning=True)
-        try:
-            assert get_engine_defaults().engine is False
-            assert _detector().pairwise_stats is None  # inherited engine=False
-            explicit = _detector(pairwise_engine=True)
-            assert explicit.pairwise_stats is not None
-            assert explicit._engine is not None and explicit._engine.pruning
-        finally:
-            set_engine_defaults(
-                engine=previous.engine,
-                pruning=previous.pruning,
-                cache_size=previous.cache_size,
-                workers=previous.workers,
-            )
-        assert get_engine_defaults() == previous
+    def test_deprecated_engine_flag_is_a_no_op(self):
+        rng = np.random.default_rng(34)
+        streams = _synthetic_observations(rng)
+        plain = _detector()
+        with pytest.warns(DeprecationWarning, match="pairwise_engine"):
+            legacy = _detector(pairwise_engine=False)
+        for name, values in streams.items():
+            _feed(plain, name, values)
+            _feed(legacy, name, values)
+        assert legacy.detect(density=40.0) == plain.detect(density=40.0)
+        assert legacy.pairwise_stats == plain.pairwise_stats

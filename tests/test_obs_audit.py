@@ -3,9 +3,9 @@
 Covers the off-by-default guarantees (no global log, no provenance
 capture, no bundle construction), margin math and the near-miss knob,
 window evidence encoding, the ring/stream/dump behaviour of
-:class:`AuditLog`, bundle structure for exact / cache-hit / pruned
-provenance, the snapshot/merge cross-process folding contract, the
-bit-identical replay verification (including tamper detection), the
+:class:`AuditLog`, bundle structure, the snapshot/merge cross-process
+folding contract, the bit-identical replay verification (including
+tamper detection and bundles recorded by retired engine modes), the
 health monitor's fragile-verdict alert, the snapshotter's near-miss
 ratio gauge, and the deterministic ordering of
 ``DetectionReport.sybil_clusters`` across hash seeds.
@@ -13,6 +13,7 @@ ratio gauge, and the deterministic ordering of
 
 import json
 import math
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -22,10 +23,11 @@ import numpy as np
 import pytest
 
 from repro.core.detector import DetectorConfig, VoiceprintDetector
-from repro.core.pairwise import PROV_CACHE, PROV_EXACT
 from repro.core.thresholds import ConstantThreshold
 from repro.obs.audit import (
     DEFAULT_NEAR_MISS_EPSILON,
+    PROV_CACHE,
+    PROV_EXACT,
     AuditLog,
     decode_window,
     default_audit_log,
@@ -49,6 +51,10 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import Snapshotter
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
+#: Two fig14 detections recorded with bound pruning and the pair cache
+#: on, before both were removed: exact, cache-hit and pruned-lower
+#: records side by side.
+_CACHE_PRUNE_AUDIT = Path(__file__).parent / "data" / "audit_cache_prune.jsonl"
 
 
 @pytest.fixture(autouse=True)
@@ -126,15 +132,26 @@ class TestOffByDefault:
     def test_no_global_log_until_started(self):
         assert default_audit_log() is None
 
-    def test_detect_does_no_audit_work_when_off(self):
+    def test_detect_does_no_audit_work_when_off(self, monkeypatch):
+        from repro.core import detector as detector_module
+
+        def forbidden(**kwargs):
+            raise AssertionError("bundle built with no audit log installed")
+
+        monkeypatch.setattr(detector_module, "make_detection_bundle", forbidden)
         detector = make_detector()
+        captured = []
+        real = detector._normalise
+        monkeypatch.setattr(
+            detector,
+            "_normalise",
+            lambda now, capture=None: captured.append(capture) or real(now, capture),
+        )
         report = detector.detect(density=40.0, now=20.0)
-        # Margins are pipeline telemetry, always on; provenance capture
+        # Margins are pipeline telemetry, always on; evidence capture
         # and bundle construction are audit work, and must not happen.
         assert report.margins
-        assert detector._engine is not None
-        assert detector._engine.record_provenance is False
-        assert detector._engine.last_provenance is None
+        assert captured == [None]
 
     def test_restart_in_child_is_noop_when_off(self):
         assert restart_in_child() is None
@@ -195,7 +212,6 @@ class TestBundleRecording:
         for record in bundle["pairs"]:
             pair = (record["a"], record["b"])
             assert record["provenance"] == PROV_EXACT
-            assert record["cache_key"]
             assert record["margin"] == report.margins[pair]
             assert record["raw_distance"] == report.raw_distances[pair]
             assert record["flagged"] == (pair in set(report.sybil_pairs))
@@ -207,37 +223,6 @@ class TestBundleRecording:
         # The stream holds the same bundle as one JSON line.
         (loaded,) = load_audit_log(log.path)
         assert loaded["pairs"] == bundle["pairs"]
-
-    def test_second_detect_hits_cache_with_key(self):
-        start_default()
-        detector = make_detector(pairwise_cache_size=1024)
-        detector.detect(density=40.0, now=20.0)
-        detector.detect(density=40.0, now=20.0)
-        log = stop_default()
-        first, second = log.bundles
-        assert {r["provenance"] for r in first["pairs"]} == {PROV_EXACT}
-        assert {r["provenance"] for r in second["pairs"]} == {PROV_CACHE}
-        exact_keys = {(r["a"], r["b"]): r["cache_key"] for r in first["pairs"]}
-        for record in second["pairs"]:
-            assert record["cache_key"] == exact_keys[(record["a"], record["b"])]
-
-    def test_pruned_pairs_record_their_deciding_bound(self):
-        start_default()
-        detector = make_detector(
-            n=10, pairwise_pruning=True, pairwise_cache_size=0
-        )
-        detector.detect(density=40.0, now=20.0)
-        log = stop_default()
-        (bundle,) = log.bundles
-        tags = {r["provenance"] for r in bundle["pairs"]}
-        assert PROV_EXACT in tags
-        pruned = [
-            r for r in bundle["pairs"] if r["provenance"].startswith("pruned")
-        ]
-        assert pruned, "the pruning workload should prune at least one pair"
-        for record in pruned:
-            assert record["bound"] is not None
-            assert record["cache_key"] is None
 
     def test_store_windows_off_drops_bytes_and_blocks_replay(self):
         start_default(store_windows=False)
@@ -298,15 +283,43 @@ class TestReplayContract:
             replay_pair(bundle, bundle["pairs"][0]["a"], bundle["pairs"][0]["b"])
 
     def test_non_exact_records_are_skipped(self):
-        start_default()
-        detector = make_detector(pairwise_cache_size=1024)
-        detector.detect(density=40.0, now=20.0)
-        detector.detect(density=40.0, now=20.0)
-        log = stop_default()
-        cached = log.bundles[1]
-        results = verify_bundle(cached)
-        assert all(r["status"] == "skipped" for r in results)
-        assert {r["provenance"] for r in results} == {PROV_CACHE}
+        bundles = load_audit_log(str(_CACHE_PRUNE_AUDIT))
+        tags = Counter(r["provenance"] for b in bundles for r in b["pairs"])
+        assert {PROV_EXACT, PROV_CACHE, "pruned-lower"} <= set(tags)
+        results = [row for bundle in bundles for row in verify_bundle(bundle)]
+        # Every exact record replays bit-identically; cache answers and
+        # bound surrogates of the retired modes carry no obligation.
+        assert Counter(
+            r["provenance"] for r in results if r["status"] == "ok"
+        ) == Counter({PROV_EXACT: tags[PROV_EXACT]})
+        assert Counter(
+            r["provenance"] for r in results if r["status"] == "skipped"
+        ) == Counter({t: n for t, n in tags.items() if t != PROV_EXACT})
+
+    def test_retired_mode_bundles_pass_explain_verify(self, capsys):
+        from repro.cli import main
+
+        assert main(["explain", str(_CACHE_PRUNE_AUDIT), "--verify"]) == 0
+        out = capsys.readouterr().out
+        assert "replayed 10 exact pair record(s)" in out
+        assert "all bit-identical" in out
+        assert "4 cache-hit, 6 pruned-lower" in out
+
+    @pytest.mark.parametrize(
+        "pair,tag,detail",
+        [
+            ("1,101", "exact", "dtw     : path_len="),
+            ("1,102", "cache-hit", "dtw     : path_len="),
+            ("1,2", "pruned-lower", "decided from bounds"),
+        ],
+    )
+    def test_explain_renders_retired_tags(self, capsys, pair, tag, detail):
+        from repro.cli import main
+
+        assert main(["explain", str(_CACHE_PRUNE_AUDIT), "--pair", pair]) == 0
+        out = capsys.readouterr().out
+        assert out.count(f"prov    : {tag}") == 2  # both recorded periods
+        assert detail in out
 
 
 class TestSnapshotMerge:

@@ -299,7 +299,6 @@ class TestDriftMonitor:
             },
             "gauges": {
                 "rate.margin_near_miss_rate": 0.1,
-                "rate.pairwise_cache_hit_rate": 0.8,
             },
             "histograms": {
                 "pipeline.margin.signed": {
@@ -315,7 +314,6 @@ class TestDriftMonitor:
         assert extracted == {
             "margin_mean": 2.0,
             "near_miss_rate": 0.1,
-            "cache_hit_rate": 0.8,
             "beacon_interarrival_s": 0.1,
             "serve_queue_wait_ms": None,
         }

@@ -98,27 +98,14 @@ class TestSnapshotterMath:
             "rate.sim.beacons_per_s"
         ).value == pytest.approx(10.0)
 
-    def test_ratio_gauge_from_cache_counter_deltas(self):
-        registry = MetricsRegistry()
-        hits = registry.counter("detector.cache_hits")
-        pairs = registry.counter("detector.pairs_compared")
-        snap = Snapshotter(registry)
-        snap.tick(now=0.0)
-        hits.inc(3)
-        pairs.inc(6)
-        snap.tick(now=1.0)
-        assert registry.gauge(
-            "rate.pairwise_cache_hit_rate"
-        ).value == pytest.approx(0.5)
-
     def test_ratio_gauge_skipped_without_denominator_activity(self):
         registry = MetricsRegistry()
-        registry.counter("detector.cache_hits")
+        registry.counter("pipeline.margin.near_miss")
         registry.counter("detector.pairs_compared")
         snap = Snapshotter(registry)
         snap.tick(now=0.0)
         snap.tick(now=1.0)
-        assert registry.gauge("rate.pairwise_cache_hit_rate").value is None
+        assert registry.gauge("rate.margin_near_miss_rate").value is None
 
     def test_histogram_count_delta(self):
         registry = MetricsRegistry()
@@ -261,7 +248,7 @@ class TestTelemetryServer:
 
 class TestOnlineTelemetryAcceptance:
     """ISSUE acceptance: a telemetry-enabled online run serves live
-    Prometheus text (pairwise cache + per-phase latency series), the
+    Prometheus text (pairwise counters + per-phase latency series), the
     health monitor alerts on an injected stall, and the flight recorder
     dumps a parseable post-mortem for it."""
 
@@ -320,7 +307,7 @@ class TestOnlineTelemetryAcceptance:
         assert "report" in kinds_in_dump  # detection reports were buffered
         assert "span" in kinds_in_dump
 
-        # Live Prometheus exposition includes the pairwise-cache and
+        # Live Prometheus exposition includes the pairwise counters and
         # per-phase latency series.
         snapshotter.tick(now=12.0)
         server = TelemetryServer(registry, health=monitor).start()
@@ -333,8 +320,7 @@ class TestOnlineTelemetryAcceptance:
             server.stop()
         assert status == 200
         text = body.decode("utf-8")
-        assert "repro_detector_cache_hits_total" in text
-        assert "repro_rate_pairwise_cache_hit_rate" in text
+        assert "repro_detector_pairs_compared_total" in text
         assert 'repro_phase_pairwise_dtw_ms{quantile="0.95"}' in text
         assert "repro_rate_detector_beacons_observed_per_s" in text
         assert health_status == 503
@@ -405,12 +391,12 @@ class TestSnapshotterEdgeCases:
         registry = MetricsRegistry()
         snapshotter = Snapshotter(registry, interval_s=1.0)
         snapshotter.tick(now=0.0)
-        registry.counter("detector.cache_hits").inc(3)
+        registry.counter("pipeline.margin.near_miss").inc(3)
         registry.counter("detector.pairs_compared").inc(4)
         record = snapshotter.tick(now=1.0)
         # The freshly computed ratio is folded into the record the
         # TSDB/drift observers see, not deferred to the next tick.
-        assert record["gauges"]["rate.pairwise_cache_hit_rate"] == 0.75
+        assert record["gauges"]["rate.margin_near_miss_rate"] == 0.75
 
 
 class TestTelemetryServerHardening:

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.radio.noise import SpatialNoiseField, ValueNoise3D
+from repro.radio.noise import (
+    SpatialNoiseField,
+    ValueNoise3D,
+    _cell_gaussian,
+    _cell_gaussian_np,
+)
 
 
 class TestValueNoise3D:
@@ -70,6 +75,32 @@ class TestValueNoise3D:
     def test_rejects_bad_scales(self):
         with pytest.raises(ValueError):
             ValueNoise3D(seed=0, scale_x=0.0)
+
+
+class TestScalarBatchAgreement:
+    """The batch path agrees with the scalar one to a few ulp, not bit
+    for bit: ``np.log``/``np.cos`` may round differently from ``math``."""
+
+    def test_cells_within_four_ulp(self):
+        rng = np.random.default_rng(2024)
+        i, j, k = (rng.integers(-(10**6), 10**6, size=20_000) for _ in range(3))
+        batch = _cell_gaussian_np(11, i, j, k)
+        scalar = np.array(
+            [_cell_gaussian(11, int(a), int(b), int(c)) for a, b, c in zip(i, j, k)]
+        )
+        assert np.all(np.abs(batch - scalar) <= 4 * np.spacing(np.abs(scalar)))
+        assert np.mean(batch == scalar) > 0.99  # differences stay rare
+
+    def test_field_values_within_bound(self):
+        # A field value is a convex combination of eight lattice
+        # Gaussians (|g| < 8.6 for 53-bit uniforms), so 4 ulp per cell
+        # bounds the value's difference by 4 ulp of 8.
+        field = ValueNoise3D(seed=9, scale_x=20, scale_y=20, scale_t=5)
+        rng = np.random.default_rng(2025)
+        x, y, t = rng.uniform(-5000, 5000, size=(3, 5_000))
+        batch = field.value_batch(x, y, t)
+        scalar = np.array([field.value(a, b, c) for a, b, c in zip(x, y, t)])
+        assert np.all(np.abs(batch - scalar) <= 4 * np.spacing(8.0))
 
 
 class TestSpatialNoiseField:

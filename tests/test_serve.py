@@ -331,8 +331,8 @@ def _replay_batch(events_by_observer, config):
 class TestServiceConfig:
     def test_defaults_valid(self):
         config = ServiceConfig()
-        # The exact engine: one ragged native DTW call per detection.
-        assert config.detector_config == DetectorConfig(pairwise_engine=True)
+        # Table V defaults; the pairwise engine has no mode to select.
+        assert config.detector_config == DetectorConfig()
 
     @pytest.mark.parametrize(
         "kwargs",
